@@ -42,6 +42,10 @@ pub enum RuleId {
     /// Dataflow tier: a polling loop in the runner tree that sleeps
     /// without consulting a cancel/shutdown signal.
     CancelPoll,
+    /// Dataflow tier: a lock guard used as the receiver of a method call
+    /// whose arguments do work (`m.lock().push(f())`), so the lock is
+    /// held while the arguments are evaluated.
+    GuardReceiver,
     /// A `// lint: allow(...)` waiver with no `— <reason>` text.
     WaiverMissingReason,
     /// A waiver that matched no diagnostic on its line.
@@ -50,7 +54,7 @@ pub enum RuleId {
 
 impl RuleId {
     /// All rules, in report order.
-    pub const ALL: [RuleId; 15] = [
+    pub const ALL: [RuleId; 16] = [
         RuleId::HashIter,
         RuleId::WallClock,
         RuleId::EnvRead,
@@ -64,6 +68,7 @@ impl RuleId {
         RuleId::NondetTaint,
         RuleId::ClaimReadback,
         RuleId::CancelPoll,
+        RuleId::GuardReceiver,
         RuleId::WaiverMissingReason,
         RuleId::UnusedWaiver,
     ];
@@ -84,6 +89,7 @@ impl RuleId {
             RuleId::NondetTaint => "nondet-taint",
             RuleId::ClaimReadback => "claim-readback",
             RuleId::CancelPoll => "cancel-poll",
+            RuleId::GuardReceiver => "guard-receiver",
             RuleId::WaiverMissingReason => "waiver-missing-reason",
             RuleId::UnusedWaiver => "unused-waiver",
         }
@@ -106,6 +112,7 @@ impl RuleId {
             "nondet-taint" => RuleId::NondetTaint,
             "claim-readback" => RuleId::ClaimReadback,
             "cancel-poll" => RuleId::CancelPoll,
+            "guard-receiver" => RuleId::GuardReceiver,
             _ => return None,
         })
     }
@@ -120,9 +127,11 @@ impl RuleId {
     /// Which tier runs this rule.
     pub fn tier_name(self) -> &'static str {
         match self {
-            RuleId::UnitMix | RuleId::NondetTaint | RuleId::ClaimReadback | RuleId::CancelPoll => {
-                "dataflow"
-            }
+            RuleId::UnitMix
+            | RuleId::NondetTaint
+            | RuleId::ClaimReadback
+            | RuleId::CancelPoll
+            | RuleId::GuardReceiver => "dataflow",
             _ => "token",
         }
     }
@@ -143,6 +152,7 @@ impl RuleId {
             RuleId::NondetTaint => "wall-clock-derived value reaching sim state or a fingerprint",
             RuleId::ClaimReadback => "claim appended but not read back before cell execution",
             RuleId::CancelPoll => "polling loop that sleeps without a cancel check",
+            RuleId::GuardReceiver => "lock guard held while a call's arguments are evaluated",
             RuleId::WaiverMissingReason => "waiver without a `— <reason>`",
             RuleId::UnusedWaiver => "waiver matching no finding",
         }
@@ -249,11 +259,25 @@ impl RuleId {
             }
             RuleId::CancelPoll => {
                 "cancel-poll (dataflow tier)\n\
-                 Every runner loop that sleeps (watchdog polls, heartbeat waits)\n\
+                 Every runner loop that sleeps (watchdog polls, heartbeat waits,\n\
+                 recv_timeout on the pool's result channel)\n\
                  must consult a cancel/shutdown signal each iteration —\n\
                  shutdown_requested(), a cancel token load, or wd.poll().\n\
                  Otherwise a stalled worker holds its lease past the stall\n\
                  budget and the watchdog cannot reclaim the cell."
+            }
+            RuleId::GuardReceiver => {
+                "guard-receiver (dataflow tier)\n\
+                 Rust evaluates a method call's receiver before its arguments,\n\
+                 so in `m.lock().push(f())` or `lock_recovering(&m).push(f())`\n\
+                 the guard is taken first and held while f() runs. When f is a\n\
+                 simulation, every thread sharing the lock takes its turn: the\n\
+                 sweep pool ran one cell at a time for this reason. Guards are\n\
+                 .lock()/.read()/.write() results (through unwrap/expect/\n\
+                 unwrap_or_else) and lock_recovering(..); the rule fires when an\n\
+                 argument contains a function or method call outside a closure.\n\
+                 Bind the value first: `let v = f(); m.lock().push(v)`. Clippy's\n\
+                 significant_drop_tightening only sees let-bound guards."
             }
             RuleId::WaiverMissingReason => {
                 "waiver-missing-reason (meta)\n\

@@ -39,7 +39,7 @@ pub enum Tier {
     #[default]
     Token,
     /// Token passes plus the AST/CFG/dataflow rules (unit-mix,
-    /// nondet-taint, claim-readback, cancel-poll).
+    /// nondet-taint, claim-readback, cancel-poll, guard-receiver).
     Dataflow,
 }
 

@@ -18,7 +18,7 @@ USAGE:
 OPTIONS:
     --tier TIER      rule tier: `token` (fast default) or `dataflow`
                      (adds unit-mix, nondet-taint, claim-readback,
-                     cancel-poll)
+                     cancel-poll, guard-receiver)
     --format FMT     output format: `text` (default), `json`, `sarif`
     --json           shorthand for --format json
     --explain RULE   print the help text for one rule and exit

@@ -1,6 +1,6 @@
-//! The dataflow tier: unit-consistency, nondeterminism taint, and
-//! journal/lease protocol conformance over the parsed AST and per-
-//! function CFGs.
+//! The dataflow tier: unit-consistency, nondeterminism taint,
+//! journal/lease protocol conformance, and lock-guard scope over the
+//! parsed AST and per-function CFGs.
 //!
 //! These passes run only under `--tier=dataflow`. They are built to be
 //! conservative in the *non-flagging* direction: anything the parser or
@@ -36,6 +36,7 @@ pub fn run(rel: &str, class: &FileClass, toks: &[&Token], diags: &mut Vec<Diagno
         claim_readback_pass(rel, &ast, diags);
         cancel_poll_pass(rel, &ast, diags);
     }
+    guard_receiver_pass(rel, &ast, diags);
 }
 
 fn diag(rel: &str, line: u32, col: u32, rule: RuleId, message: String) -> Diagnostic {
@@ -926,14 +927,16 @@ fn taint_source(segs: &[String]) -> bool {
 // Journal/lease protocol conformance
 // ---------------------------------------------------------------------------
 
-/// Calls that *execute* a claimed cell: a claim must have been read
-/// back before any of these run.
-const EXECUTE_CALLS: [&str; 5] = [
+/// Calls that *execute* a claimed cell, or hand it to a pool worker
+/// (`send` on the work queue): a claim must have been read back before
+/// any of these run.
+const EXECUTE_CALLS: [&str; 6] = [
     "execute_slice",
     "execute",
     "compute_cell",
     "run_config",
     "run_config_traced",
+    "send",
 ];
 
 /// Calls that re-read the journal (the claim read-back).
@@ -1293,12 +1296,14 @@ fn walk_expr_loops(rel: &str, arena: &Arena, eid: ExprId, diags: &mut Vec<Diagno
     }
 }
 
-/// Does this block call `sleep` (outside nested loops when
-/// `stop_at_loops`)?
+/// Does this block sleep — `sleep`, or a timed channel wait
+/// (`recv_timeout`) — outside nested loops when `stop_at_loops`?
 fn block_has_sleep(arena: &Arena, blk: &Block, stop_at_loops: bool) -> bool {
-    blk.stmts
-        .iter()
-        .any(|&s| stmt_matches(arena, s, stop_at_loops, &|name, _| name == "sleep"))
+    blk.stmts.iter().any(|&s| {
+        stmt_matches(arena, s, stop_at_loops, &|name, _| {
+            matches!(name, "sleep" | "recv_timeout")
+        })
+    })
 }
 
 /// Does this block consult a cancel/shutdown signal anywhere (nested
@@ -1465,5 +1470,84 @@ fn receiver_name(arena: &Arena, eid: ExprId) -> String {
         ExprKind::Field { name, .. } => name.clone(),
         ExprKind::Unary { expr } => receiver_name(arena, *expr),
         _ => String::new(),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lock guard as a call receiver
+// ---------------------------------------------------------------------------
+
+/// Methods that turn a lock result into its guard: the guard flows
+/// through them to the next receiver.
+const GUARD_ADAPTERS: [&str; 3] = ["unwrap", "expect", "unwrap_or_else"];
+
+/// The guard-receiver pass: a lock guard used as the receiver of a
+/// method call whose arguments do work, as in `m.lock().push(f())`. The
+/// receiver is evaluated first, so the lock is held while `f()` runs and
+/// every thread sharing it waits. Expression-level, so it applies to
+/// every non-test file.
+fn guard_receiver_pass(rel: &str, ast: &FileAst, diags: &mut Vec<Diagnostic>) {
+    let arena = &ast.arena;
+    for e in &arena.exprs {
+        let ExprKind::MethodCall { base, name, args } = &e.kind else {
+            continue;
+        };
+        if GUARD_ADAPTERS.contains(&name.as_str()) || !is_guard(arena, *base) {
+            continue;
+        }
+        if args.iter().any(|&a| does_work(arena, a)) {
+            diags.push(diag(
+                rel,
+                e.line,
+                e.col,
+                RuleId::GuardReceiver,
+                format!(
+                    "lock guard is held while the arguments of `.{name}(…)` are evaluated — \
+                     bind the argument to a local before taking the lock"
+                ),
+            ));
+        }
+    }
+}
+
+/// Does this expression yield a lock guard (or a place inside one)?
+fn is_guard(arena: &Arena, eid: ExprId) -> bool {
+    match &arena.expr(eid).kind {
+        ExprKind::MethodCall { base, name, args } => {
+            (args.is_empty() && matches!(name.as_str(), "lock" | "read" | "write"))
+                || (GUARD_ADAPTERS.contains(&name.as_str()) && is_guard(arena, *base))
+        }
+        ExprKind::Call { callee, .. } => matches!(
+            &arena.expr(*callee).kind,
+            ExprKind::Path(segs) if segs.last().is_some_and(|s| s == "lock_recovering")
+        ),
+        ExprKind::Field { base, .. } => is_guard(arena, *base),
+        ExprKind::Unary { expr } => is_guard(arena, *expr),
+        _ => false,
+    }
+}
+
+/// Does evaluating this argument call anything? Closure bodies do not
+/// count (they run later, if at all), and neither do tuple-struct or
+/// variant constructors such as `Some(x)`.
+fn does_work(arena: &Arena, eid: ExprId) -> bool {
+    match &arena.expr(eid).kind {
+        ExprKind::MethodCall { .. } => true,
+        ExprKind::Call { callee, args } => {
+            let constructor = matches!(
+                &arena.expr(*callee).kind,
+                ExprKind::Path(segs)
+                    if segs.last().is_some_and(|s| s.starts_with(|c: char| c.is_ascii_uppercase()))
+            );
+            !constructor || args.iter().any(|&a| does_work(arena, a))
+        }
+        ExprKind::Field { base: e, .. }
+        | ExprKind::Cast { expr: e, .. }
+        | ExprKind::Unary { expr: e } => does_work(arena, *e),
+        ExprKind::Binary { lhs, rhs, .. } => does_work(arena, *lhs) || does_work(arena, *rhs),
+        ExprKind::StructLit { fields, .. } => fields.iter().any(|(_, v)| does_work(arena, *v)),
+        ExprKind::Tuple { elems } => elems.iter().any(|&el| does_work(arena, el)),
+        ExprKind::Index { base, index } => does_work(arena, *base) || does_work(arena, *index),
+        _ => false,
     }
 }

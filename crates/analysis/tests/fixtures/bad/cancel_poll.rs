@@ -14,3 +14,12 @@ pub fn idle_forever(durable: &mut Durable) {
         std::thread::sleep(WAIT);
     }
 }
+
+/// A timed channel wait is a sleep too.
+pub fn collect(results: &Receiver<Finished>, tick: Duration) {
+    loop {
+        if let Ok(f) = results.recv_timeout(tick) {
+            settle(f);
+        }
+    }
+}

@@ -11,3 +11,10 @@ pub fn claim_and_run(durable: &mut Durable, ready: bool) {
     // BAD: on the `!ready` path the claim was never read back.
     execute_slice(durable);
 }
+
+/// Claims a cell and queues it for a pool worker with no readback.
+pub fn claim_and_queue(durable: &mut Durable, queue: &Sender<usize>) {
+    durable.append(JournalOp::Claim { fp: 9, attempt: 1 });
+    // BAD: handing the cell to a worker is executing it.
+    queue.send(9);
+}

@@ -34,3 +34,13 @@ pub fn spin(items: &[u64]) -> u64 {
     }
     acc
 }
+
+/// A timed channel wait that polls the watchdog between results.
+pub fn collect(results: &Receiver<Finished>, tick: Duration, wd: &Watchdog) {
+    loop {
+        if let Ok(f) = results.recv_timeout(tick) {
+            settle(f);
+        }
+        wd.poll(0);
+    }
+}

@@ -14,3 +14,17 @@ pub fn claim_and_run(durable: &mut Durable, ready: bool) {
 pub fn run_adopted(durable: &mut Durable) {
     execute_slice(durable);
 }
+
+/// The streaming pool's shape: claim, re-scan, then queue the winners.
+pub fn claim_and_queue(durable: &mut Durable, queue: &Sender<usize>) {
+    let winners = match durable.lease() {
+        None => Vec::new(),
+        Some(lease) => {
+            durable.append(JournalOp::Claim { fp: 9, attempt: 1 });
+            winners_of(durable.scan(), lease)
+        }
+    };
+    for k in winners {
+        queue.send(k);
+    }
+}

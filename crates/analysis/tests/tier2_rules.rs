@@ -1,5 +1,5 @@
 //! Fixture tests for the dataflow tier: unit-mix, nondet-taint,
-//! claim-readback, and cancel-poll, each with a failing and a passing
+//! claim-readback, cancel-poll, and guard-receiver, each with a failing and a passing
 //! fixture analyzed under a synthetic workspace-relative path that puts
 //! it in the right scope. Positions are asserted exactly, computed from
 //! the fixture text rather than hard-coded.
@@ -150,7 +150,14 @@ fn claim_readback_fires_when_one_path_skips_the_readback() {
         Tier::Dataflow,
     );
     let exec = loc(&text, "execute_slice(durable)");
-    assert_findings(&diags, &[(RuleId::ClaimReadback, exec.0, exec.1)]);
+    let send = loc(&text, "send(9)");
+    assert_findings(
+        &diags,
+        &[
+            (RuleId::ClaimReadback, exec.0, exec.1),
+            (RuleId::ClaimReadback, send.0, send.1),
+        ],
+    );
 }
 
 #[test]
@@ -193,11 +200,17 @@ fn cancel_poll_fires_on_sleeping_loops_without_cancel_checks() {
     );
     let w = loc(&text, "while done.load");
     let l = loc(&text, "loop {");
+    let r = {
+        let from = text.find("recv_timeout").expect("recv_timeout loop");
+        let line = text[..from].lines().count() as u32 - 1;
+        (line, l.1)
+    };
     assert_findings(
         &diags,
         &[
             (RuleId::CancelPoll, w.0, w.1),
             (RuleId::CancelPoll, l.0, l.1),
+            (RuleId::CancelPoll, r.0, r.1),
         ],
     );
 }
@@ -214,6 +227,44 @@ fn cancel_poll_quiet_when_loops_consult_a_signal() {
 }
 
 // ---------------------------------------------------------------------------
+// guard-receiver
+// ---------------------------------------------------------------------------
+
+#[test]
+fn guard_receiver_fires_when_a_guard_receives_a_working_call() {
+    let text = fixture("bad/guard_receiver.rs");
+    let diags = analyze_one_tier("src/bin/guard_receiver.rs", &text, Tier::Dataflow);
+    let push = loc(&text, "push(simulate(k))");
+    let render = loc(&text, "push(event.render())");
+    let insert = loc(&text, "insert(key");
+    assert_findings(
+        &diags,
+        &[
+            (RuleId::GuardReceiver, push.0, push.1),
+            (RuleId::GuardReceiver, render.0, render.1),
+            (RuleId::GuardReceiver, insert.0, insert.1),
+        ],
+    );
+}
+
+#[test]
+fn guard_receiver_quiet_when_the_work_is_bound_first() {
+    let text = fixture("good/guard_receiver.rs");
+    let diags = analyze_one_tier("src/bin/guard_receiver.rs", &text, Tier::Dataflow);
+    assert_findings(&diags, &[]);
+}
+
+#[test]
+fn guard_receiver_is_silent_at_the_token_tier() {
+    let text = fixture("bad/guard_receiver.rs");
+    let diags = analyze_one_tier("src/bin/guard_receiver.rs", &text, Tier::Token);
+    assert!(
+        !diags.iter().any(|d| d.rule == RuleId::GuardReceiver),
+        "dataflow rules must not run at the token tier: {diags:#?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
 // cross-cutting
 // ---------------------------------------------------------------------------
 
@@ -225,6 +276,7 @@ fn dataflow_rules_skip_test_code() {
         "bad/nondet_taint.rs",
         "bad/claim_readback.rs",
         "bad/cancel_poll.rs",
+        "bad/guard_receiver.rs",
     ] {
         let text = fixture(name);
         let diags = analyze_one_tier("tests/fixture_copy.rs", &text, Tier::Dataflow);

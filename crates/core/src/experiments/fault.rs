@@ -4,9 +4,10 @@
 //! The robustness suite uses these hooks to prove the runner's isolation
 //! guarantees without depending on real bugs: a cell can be made to
 //! panic a fixed number of times (exercising catch-and-retry and the
-//! [`FailedCell`](crate::experiments::FailedCell) path), and a cache
-//! save can be torn mid-write (exercising quarantine-and-rebuild on the
-//! next load).
+//! [`FailedCell`](crate::experiments::FailedCell) path), a cache save
+//! can be torn mid-write (exercising quarantine-and-rebuild on the next
+//! load), and two cells can be made to wait for each other (a
+//! rendezvous only a pool running them at the same time completes).
 //!
 //! Injection state is process-global. Tests must hold an
 //! [`InjectionScope`] while armed: the scope serializes tests against
@@ -16,7 +17,8 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 /// Exit code of an injected process death (`die-after-claim`,
 /// `die-mid-append`): 128 + SIGKILL, the same code a real `kill -9`
@@ -111,6 +113,7 @@ pub(crate) fn take_torn_save() -> bool {
 /// armed with N and fires on the Nth hit of its injection point.
 static DIE_AFTER_CLAIM: AtomicU32 = AtomicU32::new(0);
 static DIE_MID_APPEND: AtomicU32 = AtomicU32::new(0);
+static DIE_AFTER_DONE: AtomicU32 = AtomicU32::new(0);
 static HANG_CELLS: AtomicU32 = AtomicU32::new(0);
 
 /// Decrement a countdown; true exactly when it just reached zero.
@@ -131,6 +134,21 @@ pub fn arm_die_after_claim(nth: u32) {
 /// Called by the journaled orchestrator right after appending claims.
 pub(crate) fn die_after_claim_point() {
     if countdown_hit(&DIE_AFTER_CLAIM) {
+        std::process::exit(INJECTED_CRASH_EXIT);
+    }
+}
+
+/// Arm the process to die (exit [`INJECTED_CRASH_EXIT`]) immediately
+/// after the `nth` `done` record is journaled — with a multi-worker
+/// pool, other cells are still in flight at that moment, and only they
+/// may be lost.
+pub fn arm_die_after_done(nth: u32) {
+    DIE_AFTER_DONE.store(nth, Ordering::SeqCst);
+}
+
+/// Called by the journaled runner right after appending a `done`.
+pub(crate) fn die_after_done_point() {
+    if countdown_hit(&DIE_AFTER_DONE) {
         std::process::exit(INJECTED_CRASH_EXIT);
     }
 }
@@ -174,6 +192,67 @@ pub(crate) fn hang_cell_point(fp: u64, cancel: &AtomicBool) {
     }
 }
 
+/// How long a rendezvous cell waits for its partner before declaring
+/// the pool serialised. Generous: under a working pool the partner
+/// arrives within milliseconds, even on a loaded host.
+const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The armed rendezvous pair and which of the two has arrived.
+#[derive(Debug, Default)]
+struct Rendezvous {
+    pair: Option<[u64; 2]>,
+    arrived: [bool; 2],
+}
+
+fn rendezvous() -> &'static (Mutex<Rendezvous>, Condvar) {
+    static R: OnceLock<(Mutex<Rendezvous>, Condvar)> = OnceLock::new();
+    R.get_or_init(|| (Mutex::new(Rendezvous::default()), Condvar::new()))
+}
+
+fn rendezvous_state() -> MutexGuard<'static, Rendezvous> {
+    rendezvous().0.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Arm a rendezvous between the cells with fingerprints `a` and `b`:
+/// whichever enters the runner's per-cell boundary first blocks until
+/// the other has entered too. Two cells can only meet if the pool runs
+/// them at the same time, so a serialised pool turns the wait into a
+/// timeout — a concurrency witness with no timing threshold.
+pub fn arm_rendezvous(a: u64, b: u64) {
+    *rendezvous_state() = Rendezvous {
+        pair: Some([a, b]),
+        arrived: [false; 2],
+    };
+}
+
+/// Called by the runner inside its per-cell isolation boundary: mark
+/// this cell arrived and, if it belongs to the armed pair, wait for its
+/// partner. Panics with a "pool serialised" message when the partner
+/// does not arrive within [`RENDEZVOUS_TIMEOUT`].
+pub(crate) fn rendezvous_point(fp: u64) {
+    let (_, wake) = rendezvous();
+    let mut state = rendezvous_state();
+    let Some(me) = state
+        .pair
+        .and_then(|pair| pair.iter().position(|&p| p == fp))
+    else {
+        return;
+    };
+    state.arrived[me] = true;
+    wake.notify_all();
+    let (state, waited) = wake
+        .wait_timeout_while(state, RENDEZVOUS_TIMEOUT, |s| !s.arrived[1 - me])
+        .unwrap_or_else(|p| p.into_inner());
+    drop(state);
+    if waited.timed_out() {
+        // lint: allow(panic-doc) — the injected rendezvous failure IS the deliberate panic; the runner records it as a failed cell
+        panic!(
+            "pool serialised: cell {fp:#018x} waited {}s for its rendezvous partner",
+            RENDEZVOUS_TIMEOUT.as_secs()
+        );
+    }
+}
+
 /// Disarm every injection point.
 pub fn reset() {
     cell_panics().clear();
@@ -181,11 +260,14 @@ pub fn reset() {
     DIE_AFTER_CLAIM.store(0, Ordering::SeqCst);
     DIE_MID_APPEND.store(0, Ordering::SeqCst);
     HANG_CELLS.store(0, Ordering::SeqCst);
+    DIE_AFTER_DONE.store(0, Ordering::SeqCst);
+    *rendezvous_state() = Rendezvous::default();
 }
 
 /// Arm one injection from a CLI spec — how a crash-drill child process
 /// (`repro … --fault SPEC`) arms itself. Specs: `die-after-claim[=N]`,
-/// `die-mid-append[=N]`, `hang-cell[=N]`, `cell-panic=<fp>x<times>`.
+/// `die-after-done[=N]`, `die-mid-append[=N]`, `hang-cell[=N]`,
+/// `cell-panic=<fp>x<times>`.
 ///
 /// # Errors
 ///
@@ -203,6 +285,7 @@ pub fn arm_from_spec(spec: &str) -> Result<(), String> {
     };
     match name {
         "die-after-claim" => arm_die_after_claim(nth(1)?),
+        "die-after-done" => arm_die_after_done(nth(1)?),
         "die-mid-append" => arm_die_mid_append(nth(1)?),
         "hang-cell" => arm_hang_cell(nth(1)?),
         "cell-panic" => {

@@ -8,12 +8,14 @@
 //! 2–4 are views over Table 3. The [`SweepRunner`] exploits both facts:
 //!
 //! * **Parallelism** — a batch of [`Job`]s is executed by a pool of
-//!   worker threads (bounded by available cores, overridable via
-//!   [`SweepRunner::new`]) pulling from a shared queue, so a sweep's
-//!   wall-clock approaches `total / cores`. Results are returned in
-//!   submission order regardless of completion order, and every cell is
-//!   a deterministic function of its job, so parallel and serial runs
-//!   are bit-identical (a golden test enforces this).
+//!   worker threads spawned for the batch (bounded by available cores,
+//!   overridable via [`SweepRunner::new`]). Workers pull cells from a
+//!   queue and send results back over a channel, so no lock is held
+//!   while a cell simulates and a sweep's wall-clock approaches
+//!   `total / cores`; one worker is the same pool at N = 1. Results
+//!   are returned in submission order regardless of completion order,
+//!   and every cell is a deterministic function of its job, so runs at
+//!   any pool width are bit-identical (a golden test enforces this).
 //! * **Memoization** — the [`CellCache`] fingerprints each job and
 //!   returns finished [`Cell`]s, so overlapping sweeps across artifacts
 //!   are simulated exactly once per `repro` invocation. The cache can be
@@ -40,6 +42,7 @@
 
 mod journal;
 mod lease;
+mod panic_capture;
 mod watchdog;
 
 pub use journal::{
@@ -56,8 +59,10 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// One unit of sweep work: simulate `cfg` over `workload`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,7 +106,8 @@ pub const CACHE_FORMAT_VERSION: u64 = 2;
 
 /// Lock a mutex, recovering the data from a poisoned lock: a worker
 /// that panicked mid-insert can at worst lose its own entry, and the
-/// cache is a memo table, so a lost entry only costs recomputation.
+/// cache is a memo table, so a lost entry only costs recomputation. The
+/// watchdog's registry follows the same policy (it is reporting state).
 fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -450,165 +456,6 @@ impl FailedCell {
     }
 }
 
-/// Panic interception for the runner's per-cell isolation: a
-/// process-wide hook that, on threads which opted in, records the panic
-/// message, location, and a workspace-frame backtrace summary instead of
-/// printing to stderr. Threads that did not opt in keep the previous
-/// hook's behaviour.
-mod panic_capture {
-    use std::cell::{Cell, RefCell};
-    use std::sync::Once;
-
-    /// What the hook saw at the panic site.
-    #[derive(Debug, Clone, Default)]
-    pub struct CapturedPanic {
-        pub message: String,
-        pub location: String,
-        pub backtrace: String,
-    }
-
-    thread_local! {
-        static CAPTURING: Cell<bool> = const { Cell::new(false) };
-        static LAST: RefCell<Option<CapturedPanic>> = const { RefCell::new(None) };
-    }
-
-    static INSTALL: Once = Once::new();
-
-    fn install() {
-        INSTALL.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                if !CAPTURING.with(Cell::get) {
-                    prev(info);
-                    return;
-                }
-                let message = if let Some(s) = info.payload().downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = info.payload().downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "panic payload of unknown type".to_string()
-                };
-                let location = info.location().map(|l| l.to_string()).unwrap_or_default();
-                let backtrace = summarize(&std::backtrace::Backtrace::force_capture());
-                LAST.with(|l| {
-                    *l.borrow_mut() = Some(CapturedPanic {
-                        message: scrub_thread_ids(&message),
-                        location: repo_relative(&location).to_string(),
-                        backtrace,
-                    })
-                });
-            }));
-        });
-    }
-
-    /// Keep only the frames that point into this workspace (the part of
-    /// a backtrace a failure report can act on), capped at a few frames.
-    ///
-    /// Summaries land in persisted failure records (`metrics.json`, the
-    /// failure report), which a golden test compares byte-for-byte
-    /// between serial and pooled runs — so everything scheduling- or
-    /// checkout-dependent is normalized away: frame indices (stack depth
-    /// differs between the serial path and a worker thread), the capture
-    /// hook's own frames (they sit at the top of the stack), everything
-    /// below the `catch_unwind` isolation boundary, and absolute source
-    /// paths (cut to their repo-relative suffix).
-    fn summarize(bt: &std::backtrace::Backtrace) -> String {
-        const MAX_FRAMES: usize = 8;
-        let mut out: Vec<String> = Vec::new();
-        let mut frames = 0usize;
-        let mut kept_frame = false;
-        for raw in bt.to_string().lines() {
-            let line = raw.trim();
-            if line.contains("catch_unwind") || line.contains("panicking::try") {
-                break;
-            }
-            if line.contains("panic_capture") {
-                continue;
-            }
-            if let Some(loc) = line.strip_prefix("at ") {
-                if kept_frame {
-                    out.push(format!("at {}", repo_relative(loc)));
-                }
-                kept_frame = false;
-                continue;
-            }
-            kept_frame = false;
-            if !line.contains("rampage") || frames >= MAX_FRAMES {
-                continue;
-            }
-            let symbol = match line.split_once(": ") {
-                Some((_, s)) => s,
-                None => line,
-            };
-            out.push(symbol.to_string());
-            frames += 1;
-            kept_frame = true;
-        }
-        out.join("\n")
-    }
-
-    /// Cut an absolute source path down to its repo-relative suffix, so
-    /// two checkouts (or two build machines) render the same summary.
-    pub(super) fn repo_relative(path: &str) -> &str {
-        for marker in ["crates/", "src/", "tests/"] {
-            if let Some(ix) = path.find(marker) {
-                return &path[ix..];
-            }
-        }
-        path.rsplit('/').next().unwrap_or(path)
-    }
-
-    /// Replace every `ThreadId(<n>)` with `ThreadId(?)`: thread identity
-    /// is scheduling-dependent and must never reach persisted failure
-    /// records (jobs-1-vs-N byte equality).
-    pub(super) fn scrub_thread_ids(s: &str) -> String {
-        const NEEDLE: &str = "ThreadId(";
-        let mut out = String::with_capacity(s.len());
-        let mut rest = s;
-        while let Some(ix) = rest.find(NEEDLE) {
-            let (head, tail) = rest.split_at(ix + NEEDLE.len());
-            out.push_str(head);
-            let digits = tail.chars().take_while(char::is_ascii_digit).count();
-            if digits > 0 && tail[digits..].starts_with(')') {
-                out.push_str("?)");
-                rest = &tail[digits + 1..];
-            } else {
-                rest = tail;
-            }
-        }
-        out.push_str(rest);
-        out
-    }
-
-    /// Run `f` with panics captured: on unwind, returns what the hook
-    /// recorded on this thread.
-    pub fn catch<T>(f: impl FnOnce() -> T) -> Result<T, CapturedPanic> {
-        install();
-        CAPTURING.with(|c| c.set(true));
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-        CAPTURING.with(|c| c.set(false));
-        match out {
-            Ok(v) => Ok(v),
-            Err(payload) => Err(LAST.with(|l| l.borrow_mut().take()).unwrap_or_else(|| {
-                // The hook did not fire (foreign panic runtime): salvage
-                // what the payload itself carries.
-                let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "panic payload of unknown type".to_string()
-                };
-                CapturedPanic {
-                    message: scrub_thread_ids(&message),
-                    ..CapturedPanic::default()
-                }
-            })),
-        }
-    }
-}
-
 /// What a sweep's progress callback sees each time a cell finishes
 /// computing (cache hits never fire it — only real simulations do).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -634,17 +481,6 @@ pub struct ProgressUpdate {
     pub eta_secs: f64,
 }
 
-/// Shared batch state snapshotted when a cell finishes, feeding the
-/// ETA of the [`ProgressUpdate`] it triggers.
-#[derive(Debug, Clone, Copy)]
-struct BatchProgress {
-    done: usize,
-    total: usize,
-    cached: usize,
-    mean_secs: f64,
-    workers: usize,
-}
-
 /// Wall-clock record of one computed cell, for `metrics.json`.
 #[derive(Debug, Clone, PartialEq)]
 struct CellTiming {
@@ -653,6 +489,27 @@ struct CellTiming {
     issue_mhz: u32,
     secs: f64,
     failed: bool,
+    /// Index of the pool worker that simulated the cell.
+    worker: usize,
+}
+
+/// Wall-clock record of one batch's worker pool, for `metrics.json`.
+#[derive(Debug)]
+struct PoolTiming {
+    label: String,
+    /// Wall seconds from spawning the workers to joining them.
+    secs: f64,
+    /// Seconds each worker spent simulating cells.
+    busy_secs: Vec<f64>,
+}
+
+impl PoolTiming {
+    /// Σ cell secs / (pool wall × workers): 1.0 means no worker ever
+    /// waited.
+    fn parallel_efficiency(&self) -> f64 {
+        let busy: f64 = self.busy_secs.iter().sum();
+        busy / (self.secs * self.busy_secs.len() as f64)
+    }
 }
 
 /// Accumulated sweep telemetry (wall-clock side; the deterministic
@@ -662,16 +519,28 @@ struct Telemetry {
     batches: u64,
     total_secs: f64,
     cells: Vec<CellTiming>,
+    pools: Vec<PoolTiming>,
 }
 
 type ProgressFn = Box<dyn Fn(&ProgressUpdate) + Send + Sync>;
 
-/// Wall-clock/ETA accumulators shared by every slice of one batch (in
-/// the journaled path a batch executes as several claimed chunks).
-#[derive(Debug, Default)]
-struct SliceState {
-    finished: AtomicUsize,
-    spent_secs: Mutex<f64>,
+/// One pool worker's report back to the calling thread.
+struct Finished {
+    /// Index into the batch's pending list.
+    k: usize,
+    outcome: JobOutcome,
+    secs: f64,
+    worker: usize,
+}
+
+/// The calling thread's accounting for one batch's pool: the ETA
+/// accumulators and per-worker busy time.
+struct PoolStats {
+    total: usize,
+    cached: usize,
+    finished: usize,
+    spent_secs: f64,
+    busy_secs: Vec<f64>,
 }
 
 /// The crash-safety state of a journaled runner: the open journal, the
@@ -837,9 +706,9 @@ impl SweepRunner {
         }
     }
 
-    /// Install a progress callback, fired from worker threads once per
-    /// computed cell (heartbeat lines, progress bars). The callback must
-    /// not submit work back into this runner.
+    /// Install a progress callback, fired on the thread that submitted
+    /// the batch once per computed cell (heartbeat lines, progress
+    /// bars). The callback must not submit work back into this runner.
     pub fn with_progress(mut self, f: impl Fn(&ProgressUpdate) + Send + Sync + 'static) -> Self {
         self.progress = Some(Box::new(f));
         self
@@ -976,7 +845,10 @@ impl SweepRunner {
     /// The machine-readable sweep telemetry document (`metrics.json`):
     /// deterministic counters at the top level, every wall-clock-derived
     /// quantity isolated under the `"wall"` key so determinism checks can
-    /// strip one subtree and compare the rest byte-for-byte.
+    /// strip one subtree and compare the rest byte-for-byte. Under
+    /// `"wall"`, `batches` holds one entry per batch that simulated at
+    /// least one cell: its pool's wall seconds, per-worker `busy_secs`,
+    /// and `parallel_efficiency` = Σ cell secs / (wall × workers).
     pub fn telemetry_json(&self) -> Json {
         let t = lock_recovering(&self.telemetry);
         let mut cells: Vec<CellTiming> = t.cells.clone();
@@ -1007,6 +879,18 @@ impl SweepRunner {
                         "issue_mhz" => c.issue_mhz,
                         "secs" => c.secs,
                         "failed" => c.failed,
+                        "worker" => c.worker,
+                    })
+                    .collect::<Vec<Json>>(),
+                "batches" => t
+                    .pools
+                    .iter()
+                    .map(|p| obj! {
+                        "label" => p.label.as_str(),
+                        "secs" => p.secs,
+                        "workers" => p.busy_secs.len(),
+                        "busy_secs" => &p.busy_secs,
+                        "parallel_efficiency" => p.parallel_efficiency(),
                     })
                     .collect::<Vec<Json>>(),
             },
@@ -1019,8 +903,8 @@ impl SweepRunner {
         doc
     }
 
-    /// A single-threaded runner (still memoized) — the reference the
-    /// golden-equality test compares the pool against.
+    /// A one-worker runner (still memoized): the same pool at N = 1, and
+    /// the reference the golden-equality test compares wider pools to.
     pub fn serial() -> Self {
         SweepRunner::new(1)
     }
@@ -1107,7 +991,7 @@ impl SweepRunner {
             }
             None => jobs,
         };
-        let batch_start = std::time::Instant::now();
+        let batch_start = Instant::now();
         let mut slots: Vec<Option<Cell>> = vec![None; jobs.len()];
         // First occurrence of each uncached fingerprint, in order.
         let mut pending: Vec<(u64, Job)> = Vec::new();
@@ -1136,10 +1020,7 @@ impl SweepRunner {
             }
         }
 
-        let mut computed = match &self.durable {
-            Some(durable) => self.execute_durable(durable, label, &pending, cached),
-            None => self.execute(&pending, cached),
-        };
+        let mut computed = self.execute(label, &pending, cached);
         {
             let mut t = lock_recovering(&self.telemetry);
             t.batches += 1;
@@ -1151,35 +1032,28 @@ impl SweepRunner {
 
         for (k, outcome) in computed {
             let (fp, job) = pending[k];
-            match outcome {
+            let cell = match outcome {
                 JobOutcome::Done(cell) => {
                     self.cache.insert(fp, cell);
-                    for &slot in &waiters[&fp] {
-                        slots[slot] = Some(cell);
-                    }
+                    cell
                 }
+                // Someone else simulated it: cache without counting it as
+                // computed here.
                 JobOutcome::Adopted(cell) => {
-                    // Someone else simulated it: cache without counting
-                    // it as computed here.
                     self.cache.seed(fp, cell);
-                    for &slot in &waiters[&fp] {
-                        slots[slot] = Some(cell);
-                    }
+                    cell
                 }
                 JobOutcome::Failed(failed) => {
-                    let placeholder = Cell::failed_placeholder(&job.cfg);
-                    for &slot in &waiters[&fp] {
-                        slots[slot] = Some(placeholder);
-                    }
                     lock_recovering(&self.failures).push(*failed);
+                    Cell::failed_placeholder(&job.cfg)
                 }
                 JobOutcome::Interrupted => {
                     self.interrupted.store(true, Ordering::Relaxed);
-                    let placeholder = Cell::failed_placeholder(&job.cfg);
-                    for &slot in &waiters[&fp] {
-                        slots[slot] = Some(placeholder);
-                    }
+                    Cell::failed_placeholder(&job.cfg)
                 }
+            };
+            for &slot in &waiters[&fp] {
+                slots[slot] = Some(cell);
             }
         }
         slots
@@ -1191,35 +1065,6 @@ impl SweepRunner {
                 None => unreachable!("every slot is cached, computed, or failed"),
             })
             .collect()
-    }
-
-    /// Record one computed cell's wall time and fire the progress
-    /// callback. The [`BatchProgress`] comes back from shared batch
-    /// counters so the ETA improves as the batch drains.
-    fn observe_cell(&self, fp: u64, job: &Job, secs: f64, failed: bool, batch: BatchProgress) {
-        let unit_bytes = job.cfg.hierarchy.unit_bytes();
-        let issue_mhz = job.cfg.issue.mhz();
-        lock_recovering(&self.telemetry).cells.push(CellTiming {
-            fingerprint: fp,
-            unit_bytes,
-            issue_mhz,
-            secs,
-            failed,
-        });
-        if let Some(cb) = &self.progress {
-            let remaining = batch.total.saturating_sub(batch.done);
-            cb(&ProgressUpdate {
-                fingerprint: fp,
-                unit_bytes,
-                issue_mhz,
-                failed,
-                cell_secs: secs,
-                batch_done: batch.done,
-                batch_total: batch.total,
-                batch_cached: batch.cached,
-                eta_secs: batch.mean_secs * remaining as f64 / batch.workers.max(1) as f64,
-            });
-        }
     }
 
     /// One isolated execution attempt sequence for a job: validate the
@@ -1260,6 +1105,7 @@ impl SweepRunner {
                 {
                     crate::experiments::fault::cell_panic_point(fp);
                     crate::experiments::fault::hang_cell_point(fp, &cancel);
+                    crate::experiments::fault::rendezvous_point(fp);
                 }
                 run_config(&job.cfg, &job.workload)
             });
@@ -1308,221 +1154,283 @@ impl SweepRunner {
         }
     }
 
-    /// Simulate `pending` on the worker pool; returns `(index, outcome)`
-    /// pairs in arbitrary order. `cached` is how many of the batch's
-    /// slots were already served from the cache (reported to the
+    /// Simulate `pending` on a streaming pool of up to `jobs` workers,
+    /// spawned for this batch and joined before it returns; returns
+    /// `(index, outcome)` pairs in completion order. `cached` is how many
+    /// of the batch's slots the cache already served (reported to the
     /// progress callback).
-    fn execute(&self, pending: &[(u64, Job)], cached: usize) -> Vec<(usize, JobOutcome)> {
-        let ks: Vec<usize> = (0..pending.len()).collect();
-        self.execute_slice(pending, &ks, cached, pending.len(), &SliceState::default())
-    }
-
-    /// Simulate the pending-batch indices `ks` on the worker pool. The
-    /// journaled path calls this once per claimed chunk, with `shared`
-    /// carrying the done/mean accumulators across chunks so progress
-    /// and ETA describe the whole batch of `total` cells. When a
-    /// watchdog is armed, the calling thread runs its monitor loop
-    /// alongside the workers (so even a 1-worker run gets stall
-    /// detection).
-    fn execute_slice(
-        &self,
-        pending: &[(u64, Job)],
-        ks: &[usize],
-        cached: usize,
-        total: usize,
-        shared: &SliceState,
-    ) -> Vec<(usize, JobOutcome)> {
-        if ks.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.jobs.min(ks.len()).max(1);
-        let slice_done = AtomicUsize::new(0);
-        let timed = |k: usize| {
-            if self.shutdown_requested() {
-                slice_done.fetch_add(1, Ordering::Relaxed);
-                return (k, JobOutcome::Interrupted);
-            }
-            let (fp, job) = &pending[k];
-            let t0 = std::time::Instant::now();
-            let outcome = self.compute_cell(job, *fp);
-            let secs = t0.elapsed().as_secs_f64();
-            let done = shared.finished.fetch_add(1, Ordering::Relaxed) + 1;
-            let mean = {
-                let mut spent = lock_recovering(&shared.spent_secs);
-                *spent += secs;
-                *spent / done as f64
-            };
-            slice_done.fetch_add(1, Ordering::Relaxed);
-            self.observe_cell(
-                *fp,
-                job,
-                secs,
-                !matches!(outcome, JobOutcome::Done(_)),
-                BatchProgress {
-                    done,
-                    total,
-                    cached,
-                    mean_secs: mean,
-                    workers,
-                },
-            );
-            (k, outcome)
-        };
-        if workers <= 1 && self.watchdog.is_none() {
-            return ks.iter().map(|&k| timed(k)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let done: Mutex<Vec<(usize, JobOutcome)>> = Mutex::new(Vec::with_capacity(ks.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    if j >= ks.len() {
-                        break;
-                    }
-                    lock_recovering(&done).push(timed(ks[j]));
-                });
-            }
-            if let Some(wd) = &self.watchdog {
-                let poll = std::time::Duration::from_millis(wd.config().poll_ms.max(1));
-                while slice_done.load(Ordering::Relaxed) < ks.len() {
-                    std::thread::sleep(poll);
-                    wd.poll(|fp, attempt| self.journal_op(JournalOp::Stalled { fp, attempt }));
-                }
-            }
-        });
-        done.into_inner().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// The journaled orchestrator: claim cells in chunks under our
-    /// lease, compute what we win, adopt what others finish, and
-    /// reclaim stale leases — until every pending cell is resolved.
     ///
-    /// The claim protocol is append-then-read-back (see the [`lease`]
-    /// module): a claim only counts once it is durably in the file and
-    /// wins the file-order race. Chunked claiming (about two chunks per
-    /// worker in flight) keeps N processes genuinely sharing a grid
-    /// instead of one process claiming everything up front.
-    fn execute_durable(
+    /// Workers pull indices from a queue and send each outcome back over
+    /// a channel, so nothing is locked while a cell simulates. The
+    /// calling thread keeps the queue fed ([`feed`](Self::feed)) while
+    /// fewer than about two cells per worker are queued or in flight,
+    /// journals every result the moment it arrives (a crash loses only
+    /// the cells in flight), keeps the progress accounting, and polls
+    /// the watchdog between results.
+    fn execute(
         &self,
-        durable: &Durable,
         label: &str,
         pending: &[(u64, Job)],
         cached: usize,
     ) -> Vec<(usize, JobOutcome)> {
-        /// How long to wait before re-scanning when every remaining
-        /// cell is live-claimed by another process.
-        const WAIT_MS: u64 = 25;
+        /// Receive timeout when no watchdog sets the pace: how often a
+        /// journaled run waiting on other owners re-scans the journal.
+        const TICK_MS: u64 = 25;
         let total = pending.len();
-        let shared = SliceState::default();
-        let chunk_target = (self.jobs * 2).max(4);
-        let mut results: Vec<(usize, JobOutcome)> = Vec::with_capacity(total);
+        if total == 0 {
+            return Vec::new();
+        }
+        let workers = self.jobs.clamp(1, total);
+        let tick = Duration::from_millis(
+            self.watchdog
+                .as_ref()
+                .map_or(TICK_MS, |wd| wd.config().poll_ms.max(1)),
+        );
+        let (queue, work) = mpsc::channel::<usize>();
+        let work = Mutex::new(work);
+        let (report, reports) = mpsc::channel::<Finished>();
         let mut remaining: Vec<usize> = (0..total).collect();
-        while !remaining.is_empty() {
-            // Adopt everything the journal already has a `done` record
-            // for — cells from a killed previous run land here via the
-            // cache seed at open; cells finished by a sibling process
-            // land here mid-run.
-            let state = JournalState::replay(&durable.scan());
-            let now = journal::wall_ms();
-            remaining.retain(|&k| {
-                let (fp, _) = pending[k];
-                match state.done_cell(fp) {
+        let mut results: Vec<(usize, JobOutcome)> = Vec::with_capacity(total);
+        let mut pool = PoolStats {
+            total,
+            cached,
+            finished: 0,
+            spent_secs: 0.0,
+            busy_secs: vec![0.0; workers],
+        };
+        let started = Instant::now();
+        std::thread::scope(|scope| {
+            for worker in 0..workers {
+                let (work, report) = (&work, report.clone());
+                scope.spawn(move || self.work(worker, pending, work, &report));
+            }
+            drop(report);
+            let mut in_flight = 0usize;
+            loop {
+                if in_flight <= workers && !remaining.is_empty() {
+                    let room = 2 * workers - in_flight;
+                    in_flight +=
+                        self.feed(label, pending, &mut remaining, &mut results, &queue, room);
+                }
+                if remaining.is_empty() && in_flight == 0 {
+                    break;
+                }
+                match reports.recv_timeout(tick) {
+                    Ok(f) => {
+                        in_flight -= 1;
+                        results.push(self.settle(pending, f, &mut pool));
+                    }
+                    Err(RecvTimeoutError::Timeout) => {}
+                    // Every worker is gone; the scope re-raises the panic.
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
+                if let Some(wd) = &self.watchdog {
+                    wd.poll(|fp, attempt| self.journal_op(JournalOp::Stalled { fp, attempt }));
+                }
+            }
+            // Closing the queue lets the idle workers exit.
+            drop(queue);
+        });
+        if pool.finished > 0 {
+            let timing = PoolTiming {
+                label: label.to_string(),
+                secs: started.elapsed().as_secs_f64(),
+                busy_secs: pool.busy_secs,
+            };
+            lock_recovering(&self.telemetry).pools.push(timing);
+        }
+        results
+    }
+
+    /// A pool worker: take the next queued cell, simulate it with no
+    /// lock held, and report the outcome; exit when the queue closes.
+    /// Cells dequeued after a shutdown request drain as interrupted.
+    fn work(
+        &self,
+        worker: usize,
+        pending: &[(u64, Job)],
+        work: &Mutex<Receiver<usize>>,
+        report: &Sender<Finished>,
+    ) {
+        loop {
+            // Idle workers wait their turn on the queue lock; no worker
+            // holds it while simulating.
+            let next = lock_recovering(work).recv();
+            let Ok(k) = next else { return };
+            let (fp, job) = &pending[k];
+            let t0 = Instant::now();
+            let outcome = if self.shutdown_requested() {
+                JobOutcome::Interrupted
+            } else {
+                self.compute_cell(job, *fp)
+            };
+            let secs = t0.elapsed().as_secs_f64();
+            if report
+                .send(Finished {
+                    k,
+                    outcome,
+                    secs,
+                    worker,
+                })
+                .is_err()
+            {
+                return;
+            }
+        }
+    }
+
+    /// Queue cells for the pool; returns how many were queued.
+    ///
+    /// Unjournaled, every remaining cell is queued at once. Journaled,
+    /// cells other owners finished are adopted into `results`, a
+    /// shutdown request resolves every unclaimed cell as interrupted,
+    /// and up to `room` free cells are claimed under our lease. The claim
+    /// protocol is append-then-read-back (see the [`lease`] module): a
+    /// claim only counts once it is durably in the file and wins the
+    /// file-order race. A lost race stays in `remaining`, and the
+    /// winner's result is adopted by a later call.
+    fn feed(
+        &self,
+        label: &str,
+        pending: &[(u64, Job)],
+        remaining: &mut Vec<usize>,
+        results: &mut Vec<(usize, JobOutcome)>,
+        queue: &Sender<usize>,
+        room: usize,
+    ) -> usize {
+        let winners: Vec<usize> = match &self.durable {
+            None => std::mem::take(remaining),
+            Some(durable) => {
+                let state = JournalState::replay(&durable.scan());
+                remaining.retain(|&k| match state.done_cell(pending[k].0) {
                     Some(cell) => {
                         durable.adopted.fetch_add(1, Ordering::Relaxed);
                         results.push((k, JobOutcome::Adopted(cell)));
                         false
                     }
                     None => true,
-                }
-            });
-            if remaining.is_empty() {
-                break;
-            }
-            if self.shutdown_requested() {
-                // Graceful shutdown: everything we have not claimed is
-                // simply left for the next run; claims we held were
-                // resolved (done/failed/released) as they completed.
-                for &k in &remaining {
-                    results.push((k, JobOutcome::Interrupted));
-                }
-                break;
-            }
-            // Claim a chunk of free cells. `Ours` without an in-flight
-            // compute means a stale claim from a previous incarnation
-            // of this owner id — recompute it.
-            let mut to_claim: Vec<(usize, bool)> = Vec::new();
-            for &k in &remaining {
-                if to_claim.len() >= chunk_target {
-                    break;
-                }
-                let (fp, _) = pending[k];
-                match state.decide(fp, &durable.lease, now) {
-                    ClaimDecision::Theirs(_) => {}
-                    ClaimDecision::Ours => to_claim.push((k, false)),
-                    ClaimDecision::Claimable { reclaim } => to_claim.push((k, reclaim)),
-                }
-            }
-            if to_claim.is_empty() {
-                // Everything left is live-claimed elsewhere: heartbeat
-                // so our own leases stay fresh, then wait for their
-                // `done` records to land.
-                durable.maybe_heartbeat();
-                std::thread::sleep(std::time::Duration::from_millis(WAIT_MS));
-                continue;
-            }
-            for &(k, reclaim) in &to_claim {
-                let (fp, _) = pending[k];
-                durable.claims.fetch_add(1, Ordering::Relaxed);
-                if reclaim {
-                    durable.reclaims.fetch_add(1, Ordering::Relaxed);
-                }
-                durable.append(JournalOp::Claim {
-                    fp,
-                    attempt: state.claims_total(fp) + 1,
-                    reclaim,
-                    label: label.to_string(),
                 });
-            }
-            #[cfg(feature = "fault")]
-            crate::experiments::fault::die_after_claim_point();
-            // Read back: the first live claim in file order wins. A
-            // lost race stays in `remaining`; the winner's result is
-            // adopted by the rescan at the top of the loop.
-            let readback = JournalState::replay(&durable.scan());
-            let now = journal::wall_ms();
-            let winners: Vec<usize> = to_claim
-                .iter()
-                .map(|&(k, _)| k)
-                .filter(|&k| {
-                    let (fp, _) = pending[k];
-                    readback.done_cell(fp).is_none()
-                        && readback.decide(fp, &durable.lease, now) == ClaimDecision::Ours
-                })
-                .collect();
-            for (k, outcome) in self.execute_slice(pending, &winners, cached, total, &shared) {
-                let (fp, _) = pending[k];
-                match &outcome {
-                    JobOutcome::Done(cell) => {
-                        durable.append(JournalOp::Done { fp, cell: *cell });
-                        durable.note_done();
-                    }
-                    JobOutcome::Failed(f) => {
-                        durable.append(JournalOp::Failed {
-                            fp,
-                            error: f.error.clone(),
-                        });
-                    }
-                    JobOutcome::Interrupted => {
-                        durable.append(JournalOp::Released { fp });
-                    }
-                    JobOutcome::Adopted(_) => {}
+                if self.shutdown_requested() {
+                    // Unclaimed cells are left for the next run; claims
+                    // we hold resolve as their workers report back.
+                    results.extend(remaining.drain(..).map(|k| (k, JobOutcome::Interrupted)));
+                    return 0;
                 }
-                remaining.retain(|&r| r != k);
-                results.push((k, outcome));
+                // `Ours` on a cell that is not in flight is a stale claim
+                // from a previous incarnation of this owner id: redo it.
+                let now = journal::wall_ms();
+                let to_claim: Vec<(usize, bool)> = remaining
+                    .iter()
+                    .filter_map(|&k| match state.decide(pending[k].0, &durable.lease, now) {
+                        ClaimDecision::Theirs(_) => None,
+                        ClaimDecision::Ours => Some((k, false)),
+                        ClaimDecision::Claimable { reclaim } => Some((k, reclaim)),
+                    })
+                    .take(room)
+                    .collect();
+                if to_claim.is_empty() {
+                    // Everything left is live-claimed elsewhere: keep our
+                    // own leases fresh while their `done` records land.
+                    durable.maybe_heartbeat();
+                    return 0;
+                }
+                for &(k, reclaim) in &to_claim {
+                    let fp = pending[k].0;
+                    durable.claims.fetch_add(1, Ordering::Relaxed);
+                    if reclaim {
+                        durable.reclaims.fetch_add(1, Ordering::Relaxed);
+                    }
+                    durable.append(JournalOp::Claim {
+                        fp,
+                        attempt: state.claims_total(fp) + 1,
+                        reclaim,
+                        label: label.to_string(),
+                    });
+                }
+                #[cfg(feature = "fault")]
+                crate::experiments::fault::die_after_claim_point();
+                let readback = JournalState::replay(&durable.scan());
+                let now = journal::wall_ms();
+                to_claim
+                    .iter()
+                    .map(|&(k, _)| k)
+                    .filter(|&k| {
+                        let fp = pending[k].0;
+                        readback.done_cell(fp).is_none()
+                            && readback.decide(fp, &durable.lease, now) == ClaimDecision::Ours
+                    })
+                    .collect()
+            }
+        };
+        remaining.retain(|k| !winners.contains(k));
+        let mut queued = 0;
+        for k in winners {
+            // The one place a cell is handed to a worker.
+            match queue.send(k) {
+                Ok(()) => queued += 1,
+                Err(_) => results.push((k, JobOutcome::Interrupted)),
             }
         }
-        results
+        queued
+    }
+
+    /// Account for one worker report on the calling thread: journal the
+    /// transition, record the cell's wall time, and fire the progress
+    /// callback with an ETA that improves as the batch drains.
+    fn settle(
+        &self,
+        pending: &[(u64, Job)],
+        f: Finished,
+        pool: &mut PoolStats,
+    ) -> (usize, JobOutcome) {
+        let (fp, job) = pending[f.k];
+        if let Some(durable) = &self.durable {
+            match &f.outcome {
+                JobOutcome::Done(cell) => {
+                    durable.append(JournalOp::Done { fp, cell: *cell });
+                    durable.note_done();
+                    #[cfg(feature = "fault")]
+                    crate::experiments::fault::die_after_done_point();
+                }
+                JobOutcome::Failed(failed) => durable.append(JournalOp::Failed {
+                    fp,
+                    error: failed.error.clone(),
+                }),
+                JobOutcome::Interrupted => durable.append(JournalOp::Released { fp }),
+                JobOutcome::Adopted(_) => {}
+            }
+        }
+        if matches!(f.outcome, JobOutcome::Interrupted) {
+            return (f.k, f.outcome);
+        }
+        pool.finished += 1;
+        pool.spent_secs += f.secs;
+        pool.busy_secs[f.worker] += f.secs;
+        let timing = CellTiming {
+            fingerprint: fp,
+            unit_bytes: job.cfg.hierarchy.unit_bytes(),
+            issue_mhz: job.cfg.issue.mhz(),
+            secs: f.secs,
+            failed: !matches!(f.outcome, JobOutcome::Done(_)),
+            worker: f.worker,
+        };
+        if let Some(cb) = &self.progress {
+            let left =
+                pool.total.saturating_sub(pool.finished) as f64 / pool.busy_secs.len() as f64;
+            cb(&ProgressUpdate {
+                fingerprint: fp,
+                unit_bytes: timing.unit_bytes,
+                issue_mhz: timing.issue_mhz,
+                failed: timing.failed,
+                cell_secs: f.secs,
+                batch_done: pool.finished,
+                batch_total: pool.total,
+                batch_cached: pool.cached,
+                eta_secs: pool.spent_secs / pool.finished as f64 * left,
+            });
+        }
+        lock_recovering(&self.telemetry).cells.push(timing);
+        (f.k, f.outcome)
     }
 }
 

@@ -17,9 +17,10 @@
 //! Everything here is wall-clock-side reporting machinery (the lint
 //! timing allowlist covers `runner/`); no simulated state depends on it.
 
+use super::lock_recovering;
 use crate::obs::Hist;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Panic-message prefix of a cooperative stall unwind; the runner
@@ -65,12 +66,6 @@ struct InFlight {
     started: Instant,
     cancel: Arc<AtomicBool>,
     flagged: bool,
-}
-
-/// Lock a mutex, recovering from poisoning (same policy as the runner:
-/// the registry is reporting state, a lost update costs nothing).
-fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// The watchdog: a registry of in-flight attempts plus the completed-
@@ -119,13 +114,14 @@ impl Watchdog {
     /// goes over budget.
     pub(crate) fn register(&self, fp: u64, attempt: u32) -> Arc<AtomicBool> {
         let cancel = Arc::new(AtomicBool::new(false));
-        lock_recovering(&self.inflight).push(InFlight {
+        let entry = InFlight {
             fp,
             attempt,
             started: Instant::now(),
             cancel: Arc::clone(&cancel),
             flagged: false,
-        });
+        };
+        lock_recovering(&self.inflight).push(entry);
         cancel
     }
 
@@ -138,8 +134,8 @@ impl Watchdog {
         {
             let entry = inflight.swap_remove(ix);
             if success {
-                let ms = entry.started.elapsed().as_millis() as u64;
-                lock_recovering(&self.hist).record(ms.max(1));
+                let ms = (entry.started.elapsed().as_millis() as u64).max(1);
+                lock_recovering(&self.hist).record(ms);
             }
         }
     }

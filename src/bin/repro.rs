@@ -982,7 +982,8 @@ lints, panic discipline, and structural checks over every crate.
 
 --tier token     fast token-stream passes only (default)
 --tier dataflow  adds the AST/CFG/dataflow rules: unit-mix,
-                 nondet-taint, claim-readback, cancel-poll
+                 nondet-taint, claim-readback, cancel-poll,
+                 guard-receiver
 --format FMT     text (default), json, or sarif (CI annotation)
 --explain RULE   print one rule's help text and exit
 

@@ -7,7 +7,7 @@
 
 #![cfg(feature = "fault")]
 
-use rampage_core::experiments::{fault, CellCache, Job, SweepRunner, Workload};
+use rampage_core::experiments::{fault, CellCache, Job, LeaseConfig, SweepRunner, Workload};
 use rampage_core::{IssueRate, SystemConfig};
 use rampage_trace::io::{BinReader, BinWriter, TraceIoError};
 use rampage_trace::{TraceRecord, TraceSource};
@@ -87,6 +87,38 @@ fn persistent_panic_becomes_failed_cell_while_siblings_complete() {
         failures[0].error
     );
     assert_eq!(runner.cache().len(), 1, "failed cells are never cached");
+}
+
+/// Two cells that can only finish if the pool runs them at the same
+/// time: each waits (with a generous timeout) for the other to start.
+/// A serialised pool fails both attempts of whichever cell runs first,
+/// so the witness needs no timing threshold.
+fn assert_two_cells_run_concurrently(runner: &SweepRunner) {
+    let w = Workload::quick();
+    let a = Job::new(SystemConfig::baseline(IssueRate::GHZ1, 256), w);
+    let b = Job::new(SystemConfig::rampage(IssueRate::GHZ1, 512), w);
+    fault::arm_rendezvous(a.fingerprint(), b.fingerprint());
+    let cells = runner.run_batch(&[a, b]);
+    assert_eq!(runner.failure_count(), 0, "{}", runner.failure_report());
+    assert!(cells.iter().all(|c| c.seconds > 0.0), "both cells are done");
+    assert_eq!(runner.cache().computed(), 2);
+}
+
+#[test]
+fn two_workers_run_two_cells_at_once_in_memory() {
+    let _g = armed_section();
+    assert_two_cells_run_concurrently(&SweepRunner::new(2));
+}
+
+#[test]
+fn two_workers_run_two_cells_at_once_with_a_journal() {
+    let _g = armed_section();
+    let dir = scratch("rendezvous");
+    let runner = SweepRunner::new(2)
+        .with_journal(&dir.join("journal.jsonl"), LeaseConfig::new("A".into()))
+        .expect("open journal");
+    assert_two_cells_run_concurrently(&runner);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

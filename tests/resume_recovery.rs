@@ -152,6 +152,8 @@ fn shutdown_flag_interrupts_then_resume_completes() {
 #[cfg(feature = "fault")]
 mod drills {
     use super::scratch;
+    use rampage_core::experiments::{scan_journal, JournalOp, JournalRecord};
+    use std::collections::BTreeSet;
     use std::path::Path;
     use std::process::Command;
 
@@ -222,6 +224,60 @@ mod drills {
         crash_then_resume("die-after-claim", "die-after-claim");
     }
 
+    /// The streaming pool journals each result as it arrives: killed
+    /// right after its first `done` record, a 2-worker run has lost only
+    /// the cells still in flight, and the resume adopts the finished one.
+    #[test]
+    fn die_after_first_done_keeps_it_and_resume_adopts_it() {
+        let dir = scratch("die-after-done");
+        let journal = dir.join("journal.jsonl");
+        let crashed = run_table3(&dir, &["--fault", "die-after-done"]);
+        assert_eq!(crashed.status.code(), Some(CRASH), "{crashed:?}");
+        let dones = |records: &[JournalRecord]| -> Vec<u64> {
+            records
+                .iter()
+                .filter_map(|r| match r.op {
+                    JournalOp::Done { fp, .. } => Some(fp),
+                    _ => None,
+                })
+                .collect()
+        };
+        let records = scan_journal(&journal).expect("scan crashed journal");
+        let done = dones(&records);
+        assert_eq!(done.len(), 1, "killed right after the first done record");
+        let claimed: BTreeSet<u64> = records
+            .iter()
+            .filter_map(|r| match r.op {
+                JournalOp::Claim { fp, .. } => Some(fp),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            claimed.len() >= 2,
+            "a second cell was claimed and in flight when the first landed: {claimed:?}"
+        );
+
+        let resumed = run_table3(&dir, &["--resume"]);
+        assert_eq!(resumed.status.code(), Some(0), "{resumed:?}");
+        let stderr = String::from_utf8_lossy(&resumed.stderr);
+        assert!(
+            stderr.contains("resumed 1 finished cell(s)"),
+            "resume recovers the journaled cell: {stderr}"
+        );
+        let records = scan_journal(&journal).expect("scan resumed journal");
+        assert_eq!(
+            dones(&records).iter().filter(|&&fp| fp == done[0]).count(),
+            1,
+            "the finished cell is adopted, not recomputed"
+        );
+        assert_eq!(
+            cells(&dir),
+            clean_reference("die-after-done-clean"),
+            "resumed cells.json differs from an uninterrupted run"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn die_mid_journal_append_truncates_torn_tail_and_resumes() {
         let dir = scratch("die-mid-append");
@@ -275,12 +331,16 @@ mod drills {
     #[test]
     fn hung_cell_is_stalled_retried_and_tolerated_with_exit_3() {
         let dir = scratch("hang-cell");
+        // The floor is the budget until cells complete. It sits well
+        // above any real cell at this scale, even with both workers and
+        // the sibling drills sharing the cores, so the injected hang is
+        // the one stall.
         let out = run_table3(
             &dir,
             &[
                 "--watchdog",
                 "--stall-floor-ms",
-                "100",
+                "1000",
                 "--stall-retries",
                 "0",
                 "--fault",

@@ -228,3 +228,69 @@ fn cache_dedups_across_artifacts() {
         "later sweeps still simulated their unique configs"
     );
 }
+
+/// `metrics.json` reports how busy the pool was: under `"wall"`, one
+/// `batches` entry per batch that simulated cells, with per-worker busy
+/// seconds and a parallel efficiency in (0, 1], and every timed cell
+/// names the worker that ran it.
+#[test]
+fn wall_subtree_reports_pool_efficiency_and_worker_busy_time() {
+    let w = Workload::quick();
+    let runner = SweepRunner::new(2);
+    table3::run(
+        &runner,
+        &w,
+        &[IssueRate::MHZ200, IssueRate::GHZ4],
+        &[256, 2048],
+    );
+    let doc = runner.telemetry_json();
+    let workers = doc.get("workers").and_then(Json::as_u64).expect("workers");
+    assert_eq!(workers, 2);
+    let wall = doc.get("wall").expect("wall subtree");
+    let batches = wall
+        .get("batches")
+        .and_then(Json::as_array)
+        .expect("wall.batches");
+    assert_eq!(batches.len(), 1, "one batch simulated cells");
+    let batch = &batches[0];
+    assert_eq!(batch.get("label").and_then(Json::as_str), Some("table3"));
+    assert_eq!(batch.get("workers").and_then(Json::as_u64), Some(workers));
+    let efficiency = batch
+        .get("parallel_efficiency")
+        .and_then(Json::as_f64)
+        .expect("parallel_efficiency");
+    assert!(
+        efficiency > 0.0 && efficiency <= 1.0,
+        "efficiency {efficiency} outside (0, 1]"
+    );
+    let busy: Vec<f64> = batch
+        .get("busy_secs")
+        .and_then(Json::as_array)
+        .expect("busy_secs")
+        .iter()
+        .map(|s| s.as_f64().expect("busy seconds"))
+        .collect();
+    assert_eq!(busy.len() as u64, workers, "one busy_secs entry per worker");
+    assert!(busy.iter().all(|&s| s >= 0.0) && busy.iter().sum::<f64>() > 0.0);
+    let cells = wall.get("cells").and_then(Json::as_array).expect("cells");
+    assert!(cells.iter().all(|c| c
+        .get("worker")
+        .and_then(Json::as_u64)
+        .is_some_and(|k| k < workers)));
+
+    // A fully cached rerun runs no pool and adds no entry.
+    table3::run(
+        &runner,
+        &w,
+        &[IssueRate::MHZ200, IssueRate::GHZ4],
+        &[256, 2048],
+    );
+    let doc = runner.telemetry_json();
+    let wall = doc.get("wall").expect("wall subtree");
+    assert_eq!(
+        wall.get("batches")
+            .and_then(Json::as_array)
+            .map(<[Json]>::len),
+        Some(1)
+    );
+}
