@@ -19,9 +19,6 @@ pub enum RuleId {
     PanicDoc,
     /// `unwrap()`/`expect()` in library code.
     Unwrap,
-    /// `impl MemorySystem` that neither defines nor inherits
-    /// `attach_trace`.
-    AttachTrace,
     /// `experiments/table*.rs`/`fig*.rs` bypassing `SweepRunner`.
     SweepRoute,
     /// Wildcard `_ =>` arm in a `match` over a typed error enum.
@@ -54,13 +51,12 @@ pub enum RuleId {
 
 impl RuleId {
     /// All rules, in report order.
-    pub const ALL: [RuleId; 16] = [
+    pub const ALL: [RuleId; 15] = [
         RuleId::HashIter,
         RuleId::WallClock,
         RuleId::EnvRead,
         RuleId::PanicDoc,
         RuleId::Unwrap,
-        RuleId::AttachTrace,
         RuleId::SweepRoute,
         RuleId::ErrorMatch,
         RuleId::JournalAppend,
@@ -81,7 +77,6 @@ impl RuleId {
             RuleId::EnvRead => "env-read",
             RuleId::PanicDoc => "panic-doc",
             RuleId::Unwrap => "unwrap",
-            RuleId::AttachTrace => "attach-trace",
             RuleId::SweepRoute => "sweep-route",
             RuleId::ErrorMatch => "error-match",
             RuleId::JournalAppend => "journal-append",
@@ -104,7 +99,6 @@ impl RuleId {
             "env-read" => RuleId::EnvRead,
             "panic-doc" => RuleId::PanicDoc,
             "unwrap" => RuleId::Unwrap,
-            "attach-trace" => RuleId::AttachTrace,
             "sweep-route" => RuleId::SweepRoute,
             "error-match" => RuleId::ErrorMatch,
             "journal-append" => RuleId::JournalAppend,
@@ -144,7 +138,6 @@ impl RuleId {
             RuleId::EnvRead => "environment/thread-id read in a simulation path",
             RuleId::PanicDoc => "undocumented panic in library code",
             RuleId::Unwrap => "unwrap()/expect() in library code",
-            RuleId::AttachTrace => "MemorySystem impl without attach_trace",
             RuleId::SweepRoute => "experiment table/figure bypassing SweepRunner",
             RuleId::ErrorMatch => "wildcard arm in a typed error match",
             RuleId::JournalAppend => "raw journal write bypassing Journal::append",
@@ -190,11 +183,6 @@ impl RuleId {
                 "unwrap (token tier)\n\
                  unwrap()/expect() in library code turns recoverable errors into\n\
                  aborts mid-sweep. Propagate with `?` or handle the None/Err arm."
-            }
-            RuleId::AttachTrace => {
-                "attach-trace (token tier)\n\
-                 Every `impl MemorySystem` must define or inherit attach_trace so\n\
-                 the tracing harness can observe it."
             }
             RuleId::SweepRoute => {
                 "sweep-route (token tier)\n\

@@ -6,9 +6,9 @@
 //! (see [`lexer`]) and runs repo-specific rule passes (see [`rules`])
 //! that clippy cannot express: hash-ordered iteration in simulation
 //! crates, wall-clock reads outside the timing allowlist, undocumented
-//! panics, `impl MemorySystem` structure, experiment-file routing, and
-//! exhaustive error matching. Findings can be suppressed site-by-site
-//! with `// lint: allow(<rule>) — <reason>` waivers; a waiver without a
+//! panics, experiment-file routing, and exhaustive error matching.
+//! Findings can be suppressed site-by-site with
+//! `// lint: allow(<rule>) — <reason>` waivers; a waiver without a
 //! reason or without a matching finding is itself a diagnostic.
 //!
 //! The rule catalog, the waiver syntax, and the timing allowlist policy
@@ -30,7 +30,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use diag::Diagnostic;
-use rules::StructuralFacts;
 
 /// Which rule families run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -162,23 +161,18 @@ pub fn classify(rel: &str) -> FileClass {
     }
 }
 
-/// Analyze a set of in-memory sources (used by the fixture tests): runs
-/// the per-file rules plus the workspace-level structural finalizer.
+/// Analyze a set of in-memory sources (used by the fixture tests).
 pub fn analyze_sources(files: &[(&str, &str)]) -> Vec<Diagnostic> {
     analyze_sources_tier(files, Tier::Token)
 }
 
 /// [`analyze_sources`] at an explicit tier.
 pub fn analyze_sources_tier(files: &[(&str, &str)], tier: Tier) -> Vec<Diagnostic> {
-    let mut facts = StructuralFacts::default();
     let mut diags = Vec::new();
     for (rel, text) in files {
         let class = classify(rel);
-        let (file_diags, file_facts) = rules::analyze_source_tier(rel, &class, text, tier);
-        diags.extend(file_diags);
-        facts.merge(file_facts);
+        diags.extend(rules::analyze_source_tier(rel, &class, text, tier));
     }
-    diags.extend(rules::finalize_structural(&facts));
     sort_diags(&mut diags);
     diags
 }
@@ -234,37 +228,26 @@ pub fn analyze_workspace_tier(root: &Path, tier: Tier) -> io::Result<WorkspaceRe
         .unwrap_or(1)
         .min(sources.len().max(1));
     let chunk = sources.len().div_ceil(workers.max(1)).max(1);
-    let mut per_chunk: Vec<(Vec<Diagnostic>, StructuralFacts)> = Vec::new();
+    let mut diags = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for slice in sources.chunks(chunk) {
             handles.push(scope.spawn(move || {
                 let mut diags = Vec::new();
-                let mut facts = StructuralFacts::default();
                 for (rel, text) in slice {
                     let class = classify(rel);
-                    let (file_diags, file_facts) =
-                        rules::analyze_source_tier(rel, &class, text, tier);
-                    diags.extend(file_diags);
-                    facts.merge(file_facts);
+                    diags.extend(rules::analyze_source_tier(rel, &class, text, tier));
                 }
-                (diags, facts)
+                diags
             }));
         }
         for h in handles {
             if let Ok(part) = h.join() {
-                per_chunk.push(part);
+                diags.extend(part);
             }
         }
     });
 
-    let mut facts = StructuralFacts::default();
-    let mut diags = Vec::new();
-    for (part_diags, part_facts) in per_chunk {
-        diags.extend(part_diags);
-        facts.merge(part_facts);
-    }
-    diags.extend(rules::finalize_structural(&facts));
     sort_diags(&mut diags);
     Ok(WorkspaceReport {
         diagnostics: diags,

@@ -1,5 +1,4 @@
-//! The rule passes: token-stream lints, waiver resolution, and the
-//! workspace-level structural checks.
+//! The rule passes: token-stream lints and waiver resolution.
 //!
 //! Every pass works on the lexed token stream — there is no type
 //! information, so rules that need types (hash-iter) use a declared-name
@@ -50,41 +49,6 @@ const ERROR_ENUMS: [&str; 5] = [
     "DramConfigError",
 ];
 
-/// Structural facts one file contributes to the workspace-level
-/// attach-trace check.
-#[derive(Debug, Default)]
-pub struct StructuralFacts {
-    /// `Some(true)` if `trait MemorySystem` declares `attach_trace` with
-    /// a default body; `Some(false)` if it declares it body-less; `None`
-    /// if the trait definition was not seen.
-    pub trait_attach_default: Option<bool>,
-    /// Every `impl MemorySystem for …` block seen.
-    pub impls: Vec<ImplFact>,
-}
-
-/// One `impl MemorySystem for …` block.
-#[derive(Debug)]
-pub struct ImplFact {
-    /// File holding the impl, relative to the workspace root.
-    pub file: String,
-    /// 1-based line of the `impl` keyword.
-    pub line: u32,
-    /// 1-based column of the `impl` keyword.
-    pub col: u32,
-    /// Whether the block defines `fn attach_trace` itself.
-    pub defines_attach: bool,
-}
-
-impl StructuralFacts {
-    /// Merge facts from another file into this accumulator.
-    pub fn merge(&mut self, other: StructuralFacts) {
-        if self.trait_attach_default.is_none() {
-            self.trait_attach_default = other.trait_attach_default;
-        }
-        self.impls.extend(other.impls);
-    }
-}
-
 /// A parsed `// lint: allow(<rule>) — <reason>` comment.
 struct Waiver {
     line: u32,
@@ -96,17 +60,12 @@ struct Waiver {
 }
 
 /// Analyze one file at the default (token) tier.
-pub fn analyze_source(
-    rel: &str,
-    class: &FileClass,
-    text: &str,
-) -> (Vec<Diagnostic>, StructuralFacts) {
+pub fn analyze_source(rel: &str, class: &FileClass, text: &str) -> Vec<Diagnostic> {
     analyze_source_tier(rel, class, text, crate::Tier::Token)
 }
 
 /// Analyze one file: run every applicable per-file rule at the chosen
-/// tier, resolve waivers, and collect structural facts for the
-/// workspace finalizer. The file is tokenized exactly once; both tiers
+/// tier and resolve waivers. The file is tokenized exactly once; both tiers
 /// share the stream (the dataflow tier parses the same comment-free,
 /// test-mask-free view the token passes index).
 pub fn analyze_source_tier(
@@ -114,7 +73,7 @@ pub fn analyze_source_tier(
     class: &FileClass,
     text: &str,
     tier: crate::Tier,
-) -> (Vec<Diagnostic>, StructuralFacts) {
+) -> Vec<Diagnostic> {
     let toks = tokenize(text);
     let mask = test_mask(&toks);
     let code = Code::new(&toks, &mask);
@@ -150,39 +109,9 @@ pub fn analyze_source_tier(
         crate::tier2::run(rel, class, &filtered, &mut diags);
     }
 
-    let facts = if class.is_test {
-        StructuralFacts::default()
-    } else {
-        collect_structural(rel, &code)
-    };
-
     apply_waivers(rel, &comments, &mut diags);
     diags.sort_by_key(|d| (d.line, d.col, d.rule));
-    (diags, facts)
-}
-
-/// Turn the merged structural facts into diagnostics.
-pub fn finalize_structural(facts: &StructuralFacts) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    // Only judge impls when the trait definition was actually seen:
-    // without it we cannot know whether a default body exists.
-    if facts.trait_attach_default == Some(false) {
-        for imp in &facts.impls {
-            if !imp.defines_attach {
-                out.push(Diagnostic {
-                    file: imp.file.clone(),
-                    line: imp.line,
-                    col: imp.col,
-                    rule: RuleId::AttachTrace,
-                    message: "impl MemorySystem neither defines nor inherits attach_trace \
-                              (trait declares it without a default body)"
-                        .to_string(),
-                    waiver: WaiverStatus::None,
-                });
-            }
-        }
-    }
-    out
+    diags
 }
 
 // ---------------------------------------------------------------------------
@@ -968,95 +897,6 @@ fn sweep_route_pass(rel: &str, code: &Code<'_>, diags: &mut Vec<Diagnostic>) {
             ));
         }
     }
-}
-
-/// Record `trait MemorySystem` default-body status and every
-/// `impl MemorySystem for …` block.
-fn collect_structural(rel: &str, code: &Code<'_>) -> StructuralFacts {
-    let mut facts = StructuralFacts::default();
-    for j in 0..code.len() {
-        if code.is_ident(j, "trait") && code.is_ident(j + 1, "MemorySystem") {
-            facts.trait_attach_default = trait_attach_default(code, j);
-        }
-        if code.is_ident(j, "impl") {
-            // `impl [<…>] MemorySystem for Type { … }`
-            let mut saw_name = false;
-            let mut saw_for = false;
-            let mut open = None;
-            for k in (j + 1)..(j + 24).min(code.len()) {
-                if code.is_ident(k, "MemorySystem") && !saw_for {
-                    saw_name = true;
-                } else if code.is_ident(k, "for") {
-                    saw_for = true;
-                } else if code.is_punct(k, '{') {
-                    open = Some(k);
-                    break;
-                } else if code.is_punct(k, ';') {
-                    break;
-                }
-            }
-            let (Some(open), true, true) = (open, saw_name, saw_for) else {
-                continue;
-            };
-            let mut brace = 1i32;
-            let mut k = open + 1;
-            let mut defines = false;
-            while k < code.len() && brace > 0 {
-                if code.is_punct(k, '{') {
-                    brace += 1;
-                } else if code.is_punct(k, '}') {
-                    brace -= 1;
-                } else if code.is_ident(k, "fn") && code.is_ident(k + 1, "attach_trace") {
-                    defines = true;
-                }
-                k += 1;
-            }
-            let (line, col) = code.pos(j);
-            facts.impls.push(ImplFact {
-                file: rel.to_string(),
-                line,
-                col,
-                defines_attach: defines,
-            });
-        }
-    }
-    facts
-}
-
-/// For a `trait MemorySystem` at code index `j`: does its
-/// `fn attach_trace` declaration carry a default body?
-fn trait_attach_default(code: &Code<'_>, j: usize) -> Option<bool> {
-    // Find the trait body.
-    let mut open = None;
-    for k in (j + 1)..(j + 64).min(code.len()) {
-        if code.is_punct(k, '{') {
-            open = Some(k);
-            break;
-        }
-    }
-    let open = open?;
-    let mut brace = 1i32;
-    let mut k = open + 1;
-    while k < code.len() && brace > 0 {
-        if code.is_punct(k, '{') {
-            brace += 1;
-        } else if code.is_punct(k, '}') {
-            brace -= 1;
-        } else if brace == 1 && code.is_ident(k, "fn") && code.is_ident(k + 1, "attach_trace") {
-            // Default body iff a `{` comes before the next `;`.
-            for m in (k + 2)..(k + 96).min(code.len()) {
-                if code.is_punct(m, '{') {
-                    return Some(true);
-                }
-                if code.is_punct(m, ';') {
-                    return Some(false);
-                }
-            }
-            return Some(false);
-        }
-        k += 1;
-    }
-    None
 }
 
 // ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@
 //! Positions are asserted exactly — `file:line:col` is computed from the
 //! fixture text, not hard-coded.
 
+use rampage_analysis::analyze_one;
 use rampage_analysis::diag::{Diagnostic, RuleId};
-use rampage_analysis::{analyze_one, analyze_sources};
 use std::path::Path;
 
 fn fixture(name: &str) -> String {
@@ -183,45 +183,6 @@ fn unwrap_skips_custom_expect_methods_and_unwrap_or() {
     let text = fixture("good/unwrap.rs");
     let diags = analyze_one("crates/core/src/unwrap.rs", &text);
     assert_findings(&diags, &[]);
-}
-
-#[test]
-fn attach_trace_fires_when_neither_defined_nor_inherited() {
-    let text = fixture("bad/attach_trace.rs");
-    let diags = analyze_one("crates/core/src/system/attach_trace.rs", &text);
-    let at = loc(&text, "impl MemorySystem");
-    assert_findings(&diags, &[(RuleId::AttachTrace, at.0, at.1)]);
-}
-
-#[test]
-fn attach_trace_inherited_from_default_body() {
-    let text = fixture("good/attach_trace.rs");
-    let diags = analyze_one("crates/core/src/system/attach_trace.rs", &text);
-    assert_findings(&diags, &[]);
-}
-
-#[test]
-fn attach_trace_defined_in_the_impl() {
-    let text = fixture("good/attach_trace_defined.rs");
-    let diags = analyze_one("crates/core/src/system/attach_trace.rs", &text);
-    assert_findings(&diags, &[]);
-}
-
-#[test]
-fn attach_trace_works_across_files() {
-    // Trait in one file, bare impl in another: the workspace-level
-    // finalizer still connects them.
-    let trait_src = "pub trait MemorySystem {\n    fn attach_trace(&mut self, sink: usize);\n}\n";
-    let impl_src = "impl MemorySystem for Flat {\n    fn access(&mut self) {}\n}\n";
-    let diags = analyze_sources(&[
-        ("crates/core/src/system/mod.rs", trait_src),
-        ("crates/core/src/system/flat.rs", impl_src),
-    ]);
-    let got = active(&diags);
-    assert_eq!(got.len(), 1, "{diags:#?}");
-    assert_eq!(got[0].rule, RuleId::AttachTrace);
-    assert_eq!(got[0].file, "crates/core/src/system/flat.rs");
-    assert_eq!((got[0].line, got[0].col), (1, 1));
 }
 
 #[test]

@@ -2,7 +2,7 @@
 
 use crate::addr::PhysAddr;
 use crate::geometry::Geometry;
-use crate::policy::{ReplacementPolicy, SetMeta};
+use crate::policy::ReplacementPolicy;
 use crate::stats::CacheStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,11 +41,18 @@ struct Line {
 ///
 /// Misses allocate immediately (the fill is implicit), returning any
 /// displaced valid block so the caller can model the write-back.
+///
+/// Replacement keeps one monotone stamp per line: the last-touch time
+/// under LRU, the fill time under FIFO (unused under random). The
+/// victim of a full set is the way with the smallest stamp, the first
+/// such way on a tie.
 #[derive(Debug)]
 pub struct Cache {
     geo: Geometry,
+    /// `sets * ways` lines, row-major by set.
     lines: Vec<Line>,
-    meta: Vec<SetMeta>,
+    /// One replacement stamp per line, laid out like `lines`.
+    stamps: Vec<u64>,
     policy: ReplacementPolicy,
     rng: StdRng,
     clock: u64,
@@ -63,12 +70,11 @@ impl Cache {
     /// As [`Cache::new`] but with an explicit RNG seed for the random
     /// replacement policy, so experiments stay reproducible.
     pub fn with_seed(geo: Geometry, policy: ReplacementPolicy, seed: u64) -> Self {
-        let sets = geo.sets() as usize;
-        let ways = geo.ways();
+        let blocks = geo.blocks() as usize;
         Cache {
             geo,
-            lines: vec![Line::default(); sets * ways as usize],
-            meta: (0..sets).map(|_| SetMeta::new(ways)).collect(),
+            lines: vec![Line::default(); blocks],
+            stamps: vec![0; blocks],
             policy,
             rng: StdRng::seed_from_u64(seed),
             clock: 0,
@@ -101,27 +107,39 @@ impl Cache {
         self.geo.set_index(addr) as usize
     }
 
+    /// Index in `lines` and `stamps` of way 0 of `set`.
     #[inline]
-    fn line_index(&self, set: usize, way: usize) -> usize {
-        set * self.geo.ways() as usize + way
+    fn set_base(&self, set: usize) -> usize {
+        set * self.geo.ways() as usize
     }
 
+    #[inline]
+    fn line_index(&self, set: usize, way: usize) -> usize {
+        self.set_base(set) + way
+    }
+
+    #[inline]
     fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
-        let ways = self.geo.ways() as usize;
-        (0..ways).find(|&w| {
-            let l = &self.lines[self.line_index(set, w)];
-            l.valid && l.tag == tag
-        })
+        let base = self.set_base(set);
+        self.lines[base..base + self.geo.ways() as usize]
+            .iter()
+            .position(|l| l.valid && l.tag == tag)
     }
 
     fn pick_victim(&mut self, set: usize) -> usize {
         let ways = self.geo.ways() as usize;
+        let base = self.set_base(set);
         // Invalid way first: no eviction needed.
-        if let Some(w) = (0..ways).find(|&w| !self.lines[self.line_index(set, w)].valid) {
+        if let Some(w) = self.lines[base..base + ways].iter().position(|l| !l.valid) {
             return w;
         }
         match self.policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => self.meta[set].oldest(),
+            // `min_by_key` keeps the first of equal minima.
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => self.stamps[base..base + ways]
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &s)| s)
+                .map_or(0, |(w, _)| w),
             ReplacementPolicy::Random => self.rng.gen_range(0..ways),
         }
     }
@@ -144,7 +162,7 @@ impl Cache {
                 self.stats.read_hits += 1;
             }
             if self.policy == ReplacementPolicy::Lru {
-                self.meta[set].stamps[way] = self.clock;
+                self.stamps[idx] = self.clock;
             }
             return AccessResult {
                 hit: true,
@@ -175,7 +193,7 @@ impl Cache {
             dirty: is_write,
         };
         // LRU and FIFO both stamp at fill time.
-        self.meta[set].stamps[way] = self.clock;
+        self.stamps[idx] = self.clock;
         AccessResult {
             hit: false,
             eviction,
@@ -473,5 +491,24 @@ mod tests {
         assert_eq!(s.write_misses, 1);
         c.reset_stats();
         assert_eq!(c.stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn lru_victim_is_the_first_of_equal_oldest_stamps() {
+        // One 4-way LRU set, filled way by way. Accesses stamp distinct
+        // clock values, so the tie is set up by overwriting the stamps:
+        // ways 1 and 3 share the oldest, and way 1 must be the victim.
+        let geo = Geometry::new(128, 32, 4).unwrap();
+        let mut c = Cache::new(geo, ReplacementPolicy::Lru);
+        for (way, stamp) in [5u64, 2, 9, 2].into_iter().enumerate() {
+            c.access(PhysAddr(way as u64 * 32), false);
+            c.stamps[way] = stamp;
+        }
+        let r = c.access(PhysAddr(4 * 32), false);
+        assert_eq!(
+            r.eviction.unwrap().addr,
+            PhysAddr(32),
+            "first minimum wins ties"
+        );
     }
 }

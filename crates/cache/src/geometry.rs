@@ -30,7 +30,8 @@ impl std::error::Error for GeometryError {}
 
 /// Validated cache geometry: total size, block size and associativity.
 ///
-/// All three are powers of two; the number of sets follows. A 1-way
+/// All three are powers of two; the number of sets follows, and set
+/// index, tag and block base are shifts and masks. A 1-way
 /// geometry is a direct-mapped cache; `ways == blocks()` is fully
 /// associative.
 ///
@@ -45,6 +46,10 @@ pub struct Geometry {
     size: u64,
     block: u64,
     ways: u32,
+    /// `log2(block)`.
+    block_bits: u32,
+    /// `log2(sets())`.
+    set_bits: u32,
 }
 
 impl Geometry {
@@ -74,7 +79,13 @@ impl Geometry {
         if size / way_bytes == 0 {
             return Err(GeometryError::TooSmall);
         }
-        Ok(Geometry { size, block, ways })
+        Ok(Geometry {
+            size,
+            block,
+            ways,
+            block_bits: block.trailing_zeros(),
+            set_bits: (size / way_bytes).trailing_zeros(),
+        })
     }
 
     /// Fully-associative geometry: a single set of `size / block` ways.
@@ -111,7 +122,7 @@ impl Geometry {
     /// Number of sets.
     #[inline]
     pub fn sets(&self) -> u64 {
-        self.size / (self.block * self.ways as u64)
+        1 << self.set_bits
     }
 
     /// Total number of blocks (lines).
@@ -123,19 +134,20 @@ impl Geometry {
     /// Set index for an address.
     #[inline]
     pub fn set_index(&self, addr: PhysAddr) -> u64 {
-        (addr.0 >> self.block.trailing_zeros()) & (self.sets() - 1)
+        (addr.0 >> self.block_bits) & (self.sets() - 1)
     }
 
     /// Tag for an address (the block number bits above the index).
     #[inline]
     pub fn tag(&self, addr: PhysAddr) -> u64 {
-        (addr.0 >> self.block.trailing_zeros()) / self.sets()
+        addr.0 >> (self.block_bits + self.set_bits)
     }
 
-    /// Reconstruct the base address of a block from its set and tag.
+    /// Reconstruct the base address of a block from its set (below
+    /// [`Geometry::sets`]) and tag.
     #[inline]
     pub fn block_base(&self, set: u64, tag: u64) -> PhysAddr {
-        PhysAddr((tag * self.sets() + set) << self.block.trailing_zeros())
+        PhysAddr(((tag << self.set_bits) | set) << self.block_bits)
     }
 
     /// Bytes of tag + state storage a hardware implementation would need,
@@ -147,9 +159,7 @@ impl Geometry {
     /// blocks needs ≈128 KB of tags, so the equivalent RAMpage SRAM main
     /// memory is 4.125 MB.
     pub fn tag_store_bytes(&self, addr_bits: u32) -> u64 {
-        let offset_bits = self.block.trailing_zeros();
-        let index_bits = self.sets().trailing_zeros();
-        let tag_bits = addr_bits.saturating_sub(offset_bits + index_bits) + 2;
+        let tag_bits = addr_bits.saturating_sub(self.block_bits + self.set_bits) + 2;
         // Round each block's tag+state up to whole bits, then to bytes.
         (self.blocks() * tag_bits as u64).div_ceil(8)
     }
@@ -255,5 +265,43 @@ mod tests {
     fn display_is_informative() {
         let g = Geometry::new(4 << 20, 128, 2).unwrap();
         assert_eq!(g.to_string(), "4096 KiB, 128-byte blocks, 2-way");
+    }
+
+    #[test]
+    fn shifts_and_masks_match_the_division_formulas() {
+        let addrs: Vec<u64> = [
+            0u64,
+            1,
+            0x40,
+            0xfff,
+            0x1234_5678,
+            0xdead_beef,
+            u64::MAX >> 24,
+        ]
+        .into_iter()
+        .flat_map(|a| [a, a | (1 << 40), (1 << 40) + (1 << 20) + a % (1 << 20)])
+        .collect();
+        let mut checked = 0;
+        for size_bits in 10..=23 {
+            for block_bits in 4..=12 {
+                for ways in [1u32, 2, 4, 8] {
+                    let (size, block) = (1u64 << size_bits, 1u64 << block_bits);
+                    let Ok(g) = Geometry::new(size, block, ways) else {
+                        continue;
+                    };
+                    let sets = size / (block * ways as u64);
+                    assert_eq!(g.sets(), sets, "{g}");
+                    for &a in &addrs {
+                        let pa = PhysAddr(a);
+                        assert_eq!(g.set_index(pa), (a / block) % sets, "{g} set of {a:#x}");
+                        assert_eq!(g.tag(pa), a / block / sets, "{g} tag of {a:#x}");
+                        let base = g.block_base(g.set_index(pa), g.tag(pa));
+                        assert_eq!(base, PhysAddr(a & !(block - 1)), "{g} base of {a:#x}");
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 400, "{checked} geometries");
     }
 }

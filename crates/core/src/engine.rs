@@ -4,7 +4,7 @@ use crate::config::SystemConfig;
 use crate::metrics::Metrics;
 use crate::obs::{Event, EventKind, TraceSink, ASID_NONE};
 use crate::report::TableBuilder;
-use crate::system::{self, MemorySystem};
+use crate::system::{self, MemorySystem, System};
 use rampage_dram::Picos;
 use rampage_trace::{profiles, AccessKind, Asid, TraceSource};
 use std::fmt::Write as _;
@@ -121,7 +121,7 @@ pub struct ProcessSummary {
 ///   runnable.
 pub struct Engine {
     cfg: SystemConfig,
-    system: Box<dyn MemorySystem + Send>,
+    system: System,
     processes: Vec<Process>,
     current: usize,
     used_in_quantum: u64,
@@ -252,7 +252,16 @@ impl Engine {
     /// Make sure `self.current` is runnable, idling the clock forward if
     /// every live process is blocked. Returns false when all processes
     /// have finished.
+    ///
+    /// The common case returns at once: a runnable current process is
+    /// what the full loop below would settle on too, because a block
+    /// that has expired already reads as runnable and clearing it is
+    /// only bookkeeping.
+    #[inline]
     fn ensure_runnable(&mut self) -> bool {
+        if self.processes[self.current].runnable(self.now) {
+            return true;
+        }
         loop {
             if self.processes.iter().all(|p| p.finished) {
                 return false;

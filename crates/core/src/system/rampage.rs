@@ -226,7 +226,9 @@ impl Rampage {
             unreachable!("RAMpage eviction: victim {victim} is mapped");
         };
         // A prefetched page dying unreferenced was wasted bandwidth.
-        self.prefetched.remove(&(mapping.asid, mapping.vpn));
+        if !self.prefetched.is_empty() {
+            self.prefetched.remove(&(mapping.asid, mapping.vpn));
+        }
         self.tlb.flush_page(mapping.asid, mapping.vpn);
         let base = victim.base_addr(self.page);
         let mut stall = 0u64;
@@ -531,7 +533,8 @@ impl MemorySystem for Rampage {
                 });
                 match lk.frame {
                     Some(f) => {
-                        if self.prefetched.remove(&(asid, vpn)) {
+                        // Empty unless `prefetch_next` is on: skip hashing.
+                        if !self.prefetched.is_empty() && self.prefetched.remove(&(asid, vpn)) {
                             m.counts.prefetches_useful += 1;
                         }
                         self.tlb.insert(asid, vpn, f);

@@ -42,6 +42,12 @@ done
 echo "==> cargo build --release (tier-1)"
 step cargo build --release
 
+# Bit-identity gate: tiny passes of every benchmark workload, checked
+# against the pinned cell digests (perfbench/pins.json) at the default
+# and the held-out seed, so a speed-up that changes any cell fails here
+# and not only in the benchmark.
+step python3 perfbench/run.py --self-test
+
 # The in-tree static analyzer: determinism lints, panic discipline, and
 # structural rules (EXPERIMENTS.md § Static analysis). Hard gate — any
 # unwaived finding fails the build.
