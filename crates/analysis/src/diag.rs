@@ -17,8 +17,6 @@ pub enum RuleId {
     /// `panic!`/`unreachable!`/`assert!` in library code without an
     /// `// invariant:` comment or `# Panics` doc section.
     PanicDoc,
-    /// `unwrap()`/`expect()` in library code.
-    Unwrap,
     /// `experiments/table*.rs`/`fig*.rs` bypassing `SweepRunner`.
     SweepRoute,
     /// Wildcard `_ =>` arm in a `match` over a typed error enum.
@@ -51,12 +49,11 @@ pub enum RuleId {
 
 impl RuleId {
     /// All rules, in report order.
-    pub const ALL: [RuleId; 15] = [
+    pub const ALL: [RuleId; 14] = [
         RuleId::HashIter,
         RuleId::WallClock,
         RuleId::EnvRead,
         RuleId::PanicDoc,
-        RuleId::Unwrap,
         RuleId::SweepRoute,
         RuleId::ErrorMatch,
         RuleId::JournalAppend,
@@ -76,7 +73,6 @@ impl RuleId {
             RuleId::WallClock => "wall-clock",
             RuleId::EnvRead => "env-read",
             RuleId::PanicDoc => "panic-doc",
-            RuleId::Unwrap => "unwrap",
             RuleId::SweepRoute => "sweep-route",
             RuleId::ErrorMatch => "error-match",
             RuleId::JournalAppend => "journal-append",
@@ -98,7 +94,6 @@ impl RuleId {
             "wall-clock" => RuleId::WallClock,
             "env-read" => RuleId::EnvRead,
             "panic-doc" => RuleId::PanicDoc,
-            "unwrap" => RuleId::Unwrap,
             "sweep-route" => RuleId::SweepRoute,
             "error-match" => RuleId::ErrorMatch,
             "journal-append" => RuleId::JournalAppend,
@@ -137,7 +132,6 @@ impl RuleId {
             RuleId::WallClock => "wall-clock read outside the timing allowlist",
             RuleId::EnvRead => "environment/thread-id read in a simulation path",
             RuleId::PanicDoc => "undocumented panic in library code",
-            RuleId::Unwrap => "unwrap()/expect() in library code",
             RuleId::SweepRoute => "experiment table/figure bypassing SweepRunner",
             RuleId::ErrorMatch => "wildcard arm in a typed error match",
             RuleId::JournalAppend => "raw journal write bypassing Journal::append",
@@ -178,11 +172,6 @@ impl RuleId {
                  A panic!/unreachable!/assert! in library code must state its\n\
                  invariant: add a `// invariant: ...` comment on an adjacent line\n\
                  or a `# Panics` doc section so callers know the contract."
-            }
-            RuleId::Unwrap => {
-                "unwrap (token tier)\n\
-                 unwrap()/expect() in library code turns recoverable errors into\n\
-                 aborts mid-sweep. Propagate with `?` or handle the None/Err arm."
             }
             RuleId::SweepRoute => {
                 "sweep-route (token tier)\n\

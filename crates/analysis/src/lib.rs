@@ -67,7 +67,7 @@ pub struct FileClass {
     /// Test/bench/example/fixture code: exempt from every rule.
     pub is_test: bool,
     /// Library code (crate `src/` trees, minus binaries): panic
-    /// discipline, unwrap, and error-match apply.
+    /// discipline and error-match apply.
     pub is_lib: bool,
     /// Determinism-critical simulation path: hash-iter and env-read
     /// apply.

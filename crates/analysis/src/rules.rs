@@ -94,7 +94,6 @@ pub fn analyze_source_tier(
     }
     if class.is_lib && !class.is_test {
         panic_doc_pass(rel, &toks, &code, &comments, &mut diags);
-        unwrap_pass(rel, &code, &mut diags);
         error_match_pass(rel, &code, &mut diags);
     }
     if class.sweep_routed && !class.is_test {
@@ -678,34 +677,6 @@ fn fn_docs_mention_panics(toks: &[Token], code: &Code<'_>, fn_code_ix: usize) ->
         }
     }
     false
-}
-
-/// `.unwrap()` / `.expect("…")` in library code. `unwrap` must be
-/// zero-arg and `expect`'s first argument must be a string literal —
-/// this keeps a crate's own fallible `fn expect(…) -> Result<…>`
-/// parser methods out of scope.
-fn unwrap_pass(rel: &str, code: &Code<'_>, diags: &mut Vec<Diagnostic>) {
-    for j in 0..code.len() {
-        let Some(m) = code.ident(j) else { continue };
-        if j < 1 || !code.is_punct(j - 1, '.') || !code.is_punct(j + 1, '(') {
-            continue;
-        }
-        let flagged = match m {
-            "unwrap" => code.is_punct(j + 2, ')'),
-            "expect" => code.kind(j + 2) == Some(TokenKind::Str),
-            _ => false,
-        };
-        if flagged {
-            let (line, col) = code.pos(j);
-            diags.push(diag(
-                rel,
-                line,
-                col,
-                RuleId::Unwrap,
-                format!("`.{m}()` in library code — return a typed error instead"),
-            ));
-        }
-    }
 }
 
 /// Wildcard `_ =>` arms in `match`es whose arms pattern-match one of the

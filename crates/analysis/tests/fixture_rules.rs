@@ -167,25 +167,6 @@ fn panic_doc_satisfied_by_panics_section_or_invariant_comment() {
 }
 
 #[test]
-fn unwrap_fires_in_library_code() {
-    let text = fixture("bad/unwrap.rs");
-    let diags = analyze_one("crates/core/src/unwrap.rs", &text);
-    let u = loc(&text, "unwrap()");
-    let e = loc(&text, "expect(");
-    assert_findings(
-        &diags,
-        &[(RuleId::Unwrap, u.0, u.1), (RuleId::Unwrap, e.0, e.1)],
-    );
-}
-
-#[test]
-fn unwrap_skips_custom_expect_methods_and_unwrap_or() {
-    let text = fixture("good/unwrap.rs");
-    let diags = analyze_one("crates/core/src/unwrap.rs", &text);
-    assert_findings(&diags, &[]);
-}
-
-#[test]
 fn sweep_route_fires_on_direct_engine_use() {
     let text = fixture("bad/sweep_route.rs");
     let diags = analyze_one("crates/core/src/experiments/table9.rs", &text);

@@ -2,7 +2,7 @@
 //!
 //! Every failure a sweep can encounter is classified into one of four
 //! domains, so the [`SweepRunner`](crate::experiments::SweepRunner) can
-//! decide what to do with it (retry, record, quarantine) instead of
+//! decide what to do with it (retry, record, skip) instead of
 //! aborting a multi-hour run:
 //!
 //! * [`ConfigError`] — a [`SystemConfig`](crate::SystemConfig) that could
@@ -15,9 +15,9 @@
 //!   (a `panic!`/`assert!` inside the engine), captured by the runner's
 //!   per-cell isolation with a panic-site summary. Retried once, then
 //!   recorded as a failed cell.
-//! * [`CacheIoError`] — the persisted cell cache (`cells.json`) was
-//!   unreadable, corrupt, or version-mismatched. Never fatal: the file is
-//!   quarantined and rebuilt.
+//! * [`CacheIoError`] — file I/O on the cell journal (`journal.jsonl`)
+//!   or the derived `cells.json` failed. Damaged journal records are
+//!   not errors: they are skipped and their cells recomputed.
 
 use rampage_trace::io::TraceIoError;
 use std::fmt;
@@ -228,45 +228,18 @@ impl fmt::Display for InvariantError {
 
 impl std::error::Error for InvariantError {}
 
-/// A failure loading or saving the persisted cell cache.
+/// A failure reading or writing the cell journal, or writing
+/// `cells.json`.
 #[derive(Debug)]
 pub enum CacheIoError {
     /// Underlying file I/O failed.
     Io(io::Error),
-    /// The file is not valid JSON.
-    Parse(String),
-    /// The header is missing or the wrong shape.
-    BadHeader(&'static str),
-    /// The format version does not match this binary's.
-    VersionMismatch {
-        /// Version found in the file.
-        found: u64,
-        /// Version this binary writes.
-        expected: u64,
-    },
-    /// A cell's stored checksum does not match its content.
-    BadChecksum {
-        /// Fingerprint of the offending cell.
-        fp: u64,
-    },
 }
 
 impl fmt::Display for CacheIoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CacheIoError::Io(e) => write!(f, "i/o failure: {e}"),
-            CacheIoError::Parse(e) => write!(f, "not valid JSON: {e}"),
-            CacheIoError::BadHeader(what) => write!(f, "bad cache header: {what}"),
-            CacheIoError::VersionMismatch { found, expected } => write!(
-                f,
-                "cache format version {found} (this binary writes {expected})"
-            ),
-            CacheIoError::BadChecksum { fp } => {
-                write!(
-                    f,
-                    "checksum mismatch for cell {fp:#018x} (bit rot or torn write)"
-                )
-            }
         }
     }
 }
@@ -275,10 +248,6 @@ impl std::error::Error for CacheIoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CacheIoError::Io(e) => Some(e),
-            CacheIoError::Parse(_)
-            | CacheIoError::BadHeader(_)
-            | CacheIoError::VersionMismatch { .. }
-            | CacheIoError::BadChecksum { .. } => None,
         }
     }
 }
@@ -333,16 +302,14 @@ mod tests {
             "{s}"
         );
 
-        let e = RampageError::CacheIo(CacheIoError::VersionMismatch {
-            found: 1,
-            expected: 2,
-        });
-        assert!(e.to_string().contains("version 1"));
-    }
-
-    #[test]
-    fn cache_io_checksum_names_the_cell() {
-        let s = CacheIoError::BadChecksum { fp: 0xdead }.to_string();
-        assert!(s.contains("0x000000000000dead"), "{s}");
+        let e = RampageError::from(CacheIoError::from(io::Error::new(
+            io::ErrorKind::PermissionDenied,
+            "journal.jsonl",
+        )));
+        let s = e.to_string();
+        assert!(
+            s.starts_with("cell-cache error: i/o failure") && s.contains("journal.jsonl"),
+            "{s}"
+        );
     }
 }

@@ -304,8 +304,8 @@ impl Cell {
         }
     }
 
-    /// Rebuild a cell from its [`ToJson`] form (the persisted-cache
-    /// format); `None` on any missing or mistyped field.
+    /// Rebuild a cell from its [`ToJson`] form (the body of a journal
+    /// `done` record); `None` on any missing or mistyped field.
     pub fn from_json(doc: &Json) -> Option<Cell> {
         let f = doc.get("fractions")?;
         let fractions = LevelFractions {

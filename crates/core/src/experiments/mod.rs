@@ -45,8 +45,7 @@ pub use common::{
     Cell, CorpusSourceStats, Workload, PAPER_SIZES,
 };
 pub use runner::{
-    scan_journal, CacheLoad, CellCache, CellView, ClaimDecision, ClaimView, FailedCell, Job,
-    Journal, JournalOp, JournalOpenReport, JournalRecord, JournalState, LeaseConfig,
-    ProgressUpdate, SweepRunner, Watchdog, WatchdogConfig, CACHE_FORMAT_VERSION,
-    STALL_PANIC_PREFIX,
+    scan_journal, CellCache, CellView, ClaimDecision, ClaimView, FailedCell, Job, Journal,
+    JournalOp, JournalOpenReport, JournalRecord, JournalState, LeaseConfig, ProgressUpdate,
+    SweepRunner, Watchdog, WatchdogConfig, STALL_PANIC_PREFIX,
 };

@@ -13,10 +13,12 @@
 //! ```
 //!
 //! Ops: `open` (one per journal session), `claim` (+`reclaim` flag when
-//! taking over a stale lease), `done` (carries the full cell body — the
-//! journal, not `cells.json`, is the incremental durable store), `failed`,
+//! taking over a stale lease), `done` (carries the full cell body), `failed`,
 //! `stalled` (watchdog flagged, informational), `released` (graceful
 //! shutdown gave the claim back), and `renew` (lease heartbeat).
+//! `done` records are the only durable record of a finished cell:
+//! `cells.json` is written from the cache at the end of a run and never
+//! read back.
 //!
 //! ## Durability and recovery
 //!
@@ -27,22 +29,13 @@
 //! skips (but counts) any mid-file line whose checksum fails — one
 //! rotten record never discards its neighbours.
 
+use super::fnv1a;
 use crate::error::CacheIoError;
 use crate::experiments::common::Cell;
 use rampage_json::{obj, Json, ToJson};
 use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-
-/// 64-bit FNV-1a (same function the cell cache uses for its checksums).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Milliseconds since the Unix epoch — lease freshness timestamps.
 /// Wall-clock is legitimate here: the journal lives in the runner's
@@ -84,7 +77,7 @@ pub enum JournalOp {
         label: String,
     },
     /// A cell finished; the full body rides along so resume can seed the
-    /// cache without `cells.json`.
+    /// cache from the journal alone.
     Done {
         /// The finished cell's fingerprint.
         fp: u64,

@@ -18,23 +18,21 @@
 //!   any pool width are bit-identical (a golden test enforces this).
 //! * **Memoization** — the [`CellCache`] fingerprints each job and
 //!   returns finished [`Cell`]s, so overlapping sweeps across artifacts
-//!   are simulated exactly once per `repro` invocation. The cache can be
-//!   persisted as JSON (`--out DIR` keeps `cells.json`), letting reruns
-//!   at the same scale skip finished cells entirely.
+//!   are simulated exactly once per `repro` invocation. Across
+//!   invocations, finished cells come back from the journal (below);
+//!   the cache is also written out as `cells.json`, a derived artifact
+//!   that nothing reads back.
 //! * **Fault tolerance** — each cell runs behind a validation gate and a
 //!   panic boundary. A job whose configuration fails
 //!   [`SystemConfig::validate`], or whose simulation panics twice (one
 //!   retry), is recorded as a [`FailedCell`] and replaced by an inert
 //!   [`Cell::failed_placeholder`]; the rest of the sweep completes.
-//!   Persisted caches carry a version header and per-cell checksums,
-//!   are written atomically (temp file + fsync + rename), and corrupt
-//!   files are quarantined (`<name>.corrupt`) rather than trusted or
-//!   allowed to abort a run.
 //! * **Crash safety** — a runner given [`SweepRunner::with_journal`]
 //!   records every cell transition in a durable append-only journal
 //!   ([`journal`] module), claims cells under owner leases so several
 //!   processes can drain one grid cooperatively ([`lease`] module), and
-//!   resumes a killed sweep from the journal's `done` records. An
+//!   resumes a killed sweep from the journal's `done` records — the
+//!   only durable record of a finished cell. An
 //!   optional [`watchdog`] flags cells that blow past a latency budget
 //!   derived from the sweep's own history, and a shutdown flag
 //!   ([`SweepRunner::with_shutdown_flag`]) turns SIGINT/SIGTERM into a
@@ -58,7 +56,7 @@ use rampage_json::{obj, Json, ToJson};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -89,7 +87,8 @@ impl Job {
     }
 }
 
-/// 64-bit FNV-1a.
+/// 64-bit FNV-1a: job fingerprints, journal line checksums and the
+/// per-cell checksums in `cells.json`.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -99,10 +98,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Version stamp for the persisted cache format; bump when [`Cell`],
-/// the fingerprint scheme, or the on-disk envelope changes shape.
-/// Version 2 added the per-cell `sum` checksum.
-pub const CACHE_FORMAT_VERSION: u64 = 2;
+/// Version stamp in the `cells.json` header; bump when [`Cell`], the
+/// fingerprint scheme, or the envelope changes shape. Version 2 added
+/// the per-cell `sum` checksum.
+const CACHE_FORMAT_VERSION: u64 = 2;
 
 /// Lock a mutex, recovering the data from a poisoned lock: a worker
 /// that panicked mid-insert can at worst lose its own entry, and the
@@ -110,66 +109,6 @@ pub const CACHE_FORMAT_VERSION: u64 = 2;
 /// watchdog's registry follows the same policy (it is reporting state).
 fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// What [`CellCache::load_file`] found on disk.
-///
-/// Loading never fails the caller: a missing file is a cold start, and a
-/// corrupt or stale file is quarantined (renamed `<name>.corrupt`) so
-/// the next save rebuilds it — the report says which happened.
-#[derive(Debug, Default)]
-pub struct CacheLoad {
-    /// Cells loaded into the cache.
-    pub loaded: usize,
-    /// One typed error per entry skipped: [`CacheIoError::BadChecksum`]
-    /// for bit rot, [`CacheIoError::BadHeader`] for a malformed entry,
-    /// [`CacheIoError::Parse`] for an undecodable cell body.
-    pub entry_errors: Vec<CacheIoError>,
-    /// Where the on-disk file was moved if it was quarantined.
-    pub quarantined: Option<PathBuf>,
-    /// The whole-file error, when the envelope itself was unusable.
-    pub error: Option<CacheIoError>,
-}
-
-impl CacheLoad {
-    /// Whether the load was entirely clean (including the cold start).
-    pub fn is_clean(&self) -> bool {
-        self.entry_errors.is_empty() && self.quarantined.is_none() && self.error.is_none()
-    }
-
-    /// Entries skipped for a bad checksum or undecodable body.
-    pub fn skipped(&self) -> usize {
-        self.entry_errors.len()
-    }
-
-    /// One-line human summary for the `repro` log.
-    pub fn describe(&self) -> String {
-        let mut s = format!("loaded {} cached cell(s)", self.loaded);
-        if let Some(first) = self.entry_errors.first() {
-            s.push_str(&format!(
-                ", skipped {} corrupt (first: {first})",
-                self.entry_errors.len()
-            ));
-        }
-        if let Some(e) = &self.error {
-            s.push_str(&format!("; cache unusable ({e})"));
-        }
-        if let Some(q) = &self.quarantined {
-            s.push_str(&format!("; quarantined to {}", q.display()));
-        }
-        s
-    }
-}
-
-/// Rename a suspect cache file to `<name>.corrupt` next to the
-/// original. Best-effort: if the rename itself fails the file is simply
-/// left in place (and will be overwritten by the next save).
-fn quarantine(path: &Path) -> Option<PathBuf> {
-    let mut name = path.file_name()?.to_os_string();
-    name.push(".corrupt");
-    let dest = path.with_file_name(name);
-    std::fs::rename(path, &dest).ok()?;
-    Some(dest)
 }
 
 /// A memo table of finished cells, keyed by [`Job::fingerprint`].
@@ -211,7 +150,8 @@ impl CellCache {
         lock_recovering(&self.map).insert(fp, cell);
     }
 
-    /// Seed a cell without counting it as computed (persistence load).
+    /// Seed a cell without counting it as computed (journal resume or
+    /// adoption).
     fn seed(&self, fp: u64, cell: Cell) {
         lock_recovering(&self.map).insert(fp, cell);
     }
@@ -239,7 +179,7 @@ impl CellCache {
     /// Serialize every entry (fingerprint-ordered — the map itself is
     /// ordered, so serialization is deterministic by construction).
     /// Each entry carries an FNV-1a checksum of its compact cell body,
-    /// so single-entry bit rot is detected at load time.
+    /// so a reader of the file can detect single-entry rot.
     pub fn to_json(&self) -> Json {
         let map = lock_recovering(&self.map);
         let entries: Vec<(u64, Cell)> = map.iter().map(|(&fp, &c)| (fp, c)).collect();
@@ -257,59 +197,9 @@ impl CellCache {
         }
     }
 
-    /// Load entries from a serialized cache document.
-    ///
-    /// Returns `(loaded, entry_errors)`: entries whose checksum or shape
-    /// is wrong are skipped individually — each with a typed
-    /// [`CacheIoError`] saying why — so one rotten entry does not
-    /// discard its neighbours.
-    ///
-    /// # Errors
-    ///
-    /// [`CacheIoError::BadHeader`] when the envelope is not this format;
-    /// [`CacheIoError::VersionMismatch`] for any other version (stale
-    /// fingerprints must not serve wrong cells).
-    pub fn load_json(&self, doc: &Json) -> Result<(usize, Vec<CacheIoError>), CacheIoError> {
-        let Some(version) = doc.get("version").and_then(Json::as_u64) else {
-            return Err(CacheIoError::BadHeader("missing or non-integer version"));
-        };
-        if version != CACHE_FORMAT_VERSION {
-            return Err(CacheIoError::VersionMismatch {
-                found: version,
-                expected: CACHE_FORMAT_VERSION,
-            });
-        }
-        let Some(cells) = doc.get("cells").and_then(Json::as_array) else {
-            return Err(CacheIoError::BadHeader("missing cells array"));
-        };
-        let mut loaded = 0;
-        let mut entry_errors = Vec::new();
-        for entry in cells {
-            let (Some(fp), Some(sum), Some(body)) = (
-                entry.get("fp").and_then(Json::as_u64),
-                entry.get("sum").and_then(Json::as_u64),
-                entry.get("cell"),
-            ) else {
-                entry_errors.push(CacheIoError::BadHeader("entry missing fp/sum/cell"));
-                continue;
-            };
-            if fnv1a(body.compact().as_bytes()) != sum {
-                entry_errors.push(CacheIoError::BadChecksum { fp });
-                continue;
-            }
-            let Some(cell) = Cell::from_json(body) else {
-                entry_errors.push(CacheIoError::Parse(format!(
-                    "cell {fp:#018x} body undecodable"
-                )));
-                continue;
-            };
-            self.seed(fp, cell);
-            loaded += 1;
-        }
-        Ok((loaded, entry_errors))
-    }
-
-    /// Persist to `path` as JSON, atomically: the document is written to
+    /// Write `cells.json`, a derived artifact of the run that the
+    /// program never reads back (the journal is the durable record).
+    /// The write is atomic: the document is written to
     /// `<name>.tmp`, synced to disk, then renamed over `path`, so a
     /// crash at any point leaves either the old file or the new one —
     /// never a torn mixture.
@@ -319,15 +209,6 @@ impl CellCache {
     /// Any underlying file I/O failure, as [`CacheIoError::Io`].
     pub fn save_file(&self, path: &Path) -> Result<(), CacheIoError> {
         let text = self.to_json().pretty() + "\n";
-        #[cfg(feature = "fault")]
-        if crate::experiments::fault::take_torn_save() {
-            // Simulate a crash mid-write with a non-atomic writer: half
-            // the document lands on the final path and the "process"
-            // dies (returns) before finishing.
-            let cut = text.len() / 2;
-            std::fs::write(path, &text.as_bytes()[..cut])?;
-            return Ok(());
-        }
         let tmp = match path.file_name() {
             Some(n) => {
                 let mut n = n.to_os_string();
@@ -348,43 +229,6 @@ impl CellCache {
         }
         std::fs::rename(&tmp, path)?;
         Ok(())
-    }
-
-    /// Load from `path`, never failing the caller: a missing file is a
-    /// cold start; an unreadable, unparsable, version-mismatched, or
-    /// partially rotten file is quarantined to `<name>.corrupt` and as
-    /// many good cells as possible are kept. The [`CacheLoad`] report
-    /// says exactly what happened.
-    pub fn load_file(&self, path: &Path) -> CacheLoad {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return CacheLoad::default(),
-            Err(e) => {
-                return CacheLoad {
-                    quarantined: quarantine(path),
-                    error: Some(CacheIoError::Io(e)),
-                    ..CacheLoad::default()
-                }
-            }
-        };
-        let parsed = Json::parse(&text).map_err(|e| CacheIoError::Parse(e.to_string()));
-        match parsed.and_then(|doc| self.load_json(&doc)) {
-            Ok((loaded, entry_errors)) if entry_errors.is_empty() => CacheLoad {
-                loaded,
-                ..CacheLoad::default()
-            },
-            Ok((loaded, entry_errors)) => CacheLoad {
-                loaded,
-                entry_errors,
-                quarantined: quarantine(path),
-                error: None,
-            },
-            Err(e) => CacheLoad {
-                quarantined: quarantine(path),
-                error: Some(e),
-                ..CacheLoad::default()
-            },
-        }
     }
 }
 
@@ -778,8 +622,8 @@ impl SweepRunner {
     /// Force every job this runner executes onto the given DRAM backend
     /// (the `repro --dram-backend` knob): each submitted job's
     /// `cfg.dram` is rewritten *before* fingerprinting, so caching,
-    /// journaling, and persisted `cells.json` files key on the backend
-    /// actually simulated, and flat-run caches are never polluted.
+    /// the journal, and `cells.json` key on the backend actually
+    /// simulated, and flat-run cells are never polluted.
     pub fn with_dram(mut self, kind: DramKind) -> Self {
         self.dram_override = Some(kind);
         self
@@ -802,8 +646,8 @@ impl SweepRunner {
 
     /// Whether any batch was cut short by the shutdown flag. Results
     /// from an interrupted runner contain placeholder cells and must
-    /// not be published as experiment output — persist the cache and
-    /// journal, then resume later.
+    /// not be published as experiment output — the journal holds every
+    /// finished cell, so resume later.
     pub fn interrupted(&self) -> bool {
         self.interrupted.load(Ordering::Relaxed)
     }
@@ -1498,63 +1342,6 @@ mod tests {
         assert_eq!(again, &cells[..jobs.len()]);
         assert_eq!(runner.cache().computed(), jobs.len() as u64);
         assert_eq!(runner.cache().hits(), 2 * jobs.len() as u64);
-    }
-
-    #[test]
-    fn cache_persistence_roundtrips() {
-        let runner = SweepRunner::serial();
-        let jobs = quick_jobs();
-        let cells = runner.run_batch(&jobs);
-        let doc = runner.cache().to_json();
-
-        let fresh = CellCache::new();
-        let (loaded, errors) = fresh.load_json(&doc).expect("clean load");
-        assert_eq!((loaded, errors.len()), (jobs.len(), 0));
-        for (job, cell) in jobs.iter().zip(&cells) {
-            assert_eq!(fresh.get(job.fingerprint()), Some(*cell));
-        }
-
-        // The JSON text itself roundtrips (checksums included).
-        let reparsed = Json::parse(&doc.pretty()).expect("valid JSON");
-        let fresh2 = CellCache::new();
-        let (loaded2, errors2) = fresh2.load_json(&reparsed).expect("clean load");
-        assert_eq!((loaded2, errors2.len()), (jobs.len(), 0));
-        assert_eq!(fresh2.get(jobs[0].fingerprint()), Some(cells[0]));
-    }
-
-    #[test]
-    fn version_mismatch_is_a_typed_error() {
-        let bad = obj! { "version" => 999u64, "cells" => Vec::<Json>::new() };
-        match CellCache::new().load_json(&bad) {
-            Err(CacheIoError::VersionMismatch { found, expected }) => {
-                assert_eq!(found, 999);
-                assert_eq!(expected, CACHE_FORMAT_VERSION);
-            }
-            other => panic!("expected VersionMismatch, got {other:?}"),
-        }
-        let no_header = obj! { "cells" => Vec::<Json>::new() };
-        assert!(matches!(
-            CellCache::new().load_json(&no_header),
-            Err(CacheIoError::BadHeader(_))
-        ));
-    }
-
-    #[test]
-    fn corrupt_entries_are_skipped_individually() {
-        let runner = SweepRunner::serial();
-        let jobs = quick_jobs();
-        runner.run_batch(&jobs);
-        let doc = runner.cache().to_json();
-        // Flip one entry's checksum.
-        let text = doc.pretty().replacen("\"sum\":", "\"sum\": 1, \"was\":", 1);
-        let tampered = Json::parse(&text).expect("still JSON");
-        let fresh = CellCache::new();
-        let (loaded, errors) = fresh.load_json(&tampered).expect("envelope still valid");
-        assert!(
-            matches!(errors.as_slice(), [CacheIoError::BadChecksum { .. }]),
-            "the tampered entry is dropped with a typed checksum error: {errors:?}"
-        );
-        assert_eq!(loaded, jobs.len() - 1, "its neighbours survive");
     }
 
     #[test]

@@ -307,8 +307,8 @@ enum Feed {
 /// A block that fails its checksum or decode is **skipped**: its records
 /// vanish from the stream, and a [`CorpusWarning`] is recorded
 /// ([`warnings`](Self::warnings)) instead of ending the replay — the
-/// same quarantine-over-abort policy the cell cache uses for corrupt
-/// entries.
+/// same skip-over-abort policy the cell journal uses for corrupt
+/// records.
 #[derive(Debug)]
 pub struct CorpusReader {
     name: String,

@@ -23,18 +23,27 @@ step cargo clippy --workspace --all-targets --all-features -- -D warnings
 
 # Library code must not unwrap/expect: every fallible path either
 # returns a typed error or panics via a documented invariant assert.
-# It must not print either: all human-facing output goes through the
-# binaries or rendered reports, never stray println!/eprintln! in a
-# library (criterion is the one exemption — printing results is its
-# job). Tests and benches are exempt (unwrap is the right tool there).
-LIB_CRATES=(rampage-json rand criterion rampage-trace rampage-cache rampage-dram rampage-vm rampage-core rampage-analysis)
+# This is the only home of that rule (the in-tree analyzer has no
+# unwrap pass). It must not print either: all human-facing output goes
+# through the binaries or rendered reports, never stray
+# println!/eprintln! in a library (criterion is the one exemption —
+# printing results is its job). Tests and benches are exempt (unwrap
+# is the right tool there). The fault-injection hooks are library code
+# compiled only under the `fault` feature, so the crates that have it
+# are linted with it on.
+LIB_CRATES=(rampage-json rand criterion rampage-trace rampage-cache rampage-dram rampage-vm rampage-core rampage-analysis rampage rampage-bench)
 for crate in "${LIB_CRATES[@]}"; do
   PRINT_DENIES=(-D clippy::print_stdout -D clippy::print_stderr)
   if [[ "${crate}" == "criterion" ]]; then
     PRINT_DENIES=()
   fi
-  echo "==> cargo clippy --lib -p ${crate} (deny unwrap/expect/print)"
-  timeout --kill-after=30 "${STEP_TIMEOUT}" cargo clippy -q --lib -p "${crate}" -- \
+  FEATURES=()
+  if [[ "${crate}" == "rampage" || "${crate}" == "rampage-core" || "${crate}" == "rampage-trace" ]]; then
+    FEATURES=(--features fault)
+  fi
+  echo "==> cargo clippy --lib -p ${crate} ${FEATURES[*]+"${FEATURES[*]}"} (deny unwrap/expect/print)"
+  timeout --kill-after=30 "${STEP_TIMEOUT}" cargo clippy -q --lib -p "${crate}" \
+    "${FEATURES[@]+"${FEATURES[@]}"}" -- \
     -D warnings -D clippy::unwrap_used -D clippy::expect_used \
     "${PRINT_DENIES[@]+"${PRINT_DENIES[@]}"}"
 done
@@ -149,6 +158,21 @@ step ./target/release/repro --scale 20000 --nbench 2 --jobs 1 \
   --out "${DRILL_TMP}/clean" table3 >/dev/null
 if ! cmp "${DRILL_TMP}/crash/cells.json" "${DRILL_TMP}/clean/cells.json"; then
   echo "FAIL: resumed cells.json differs from the uninterrupted run" >&2
+  exit 1
+fi
+# The journal alone carries reuse: with cells.json gone, a rerun on the
+# same --out simulates nothing and writes the clean run's cells.json.
+echo "==> journal-only reuse (delete cells.json → rerun → 0 simulated, cmp)"
+rm "${DRILL_TMP}/crash/cells.json"
+step ./target/release/repro --scale 20000 --nbench 2 --jobs 2 \
+  --out "${DRILL_TMP}/crash" table3 >/dev/null 2>"${DRILL_TMP}/reuse.err"
+if ! grep -q '^# cells: 0 simulated' "${DRILL_TMP}/reuse.err"; then
+  echo "FAIL: a rerun on the journal simulated cells again:" >&2
+  grep '^# cells:' "${DRILL_TMP}/reuse.err" >&2 || true
+  exit 1
+fi
+if ! cmp "${DRILL_TMP}/crash/cells.json" "${DRILL_TMP}/clean/cells.json"; then
+  echo "FAIL: cells.json rebuilt from the journal differs from the clean run" >&2
   exit 1
 fi
 # Leave the normal (fault-free) binary in place for anything after us.

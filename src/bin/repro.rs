@@ -3,7 +3,7 @@
 //! ```text
 //! repro [--scale N] [--nbench N] [--jobs N] [--out DIR] [--trace-dir DIR]
 //!       [--max-cell-failures N] [--trace-events PATH] [--trace-cap N]
-//!       [--resume] [--owner-id ID] [--no-journal] [--watchdog]
+//!       [--resume] [--owner-id ID] [--watchdog]
 //!       [--stall-floor-ms N] [--stall-retries N]
 //!       <artifact>...
 //! repro trace record    --dir DIR [--scale N] [--nbench N] [--seed S] [--block-bytes N]
@@ -22,10 +22,12 @@
 //! (default 50; use 1 for the full volume). `--jobs N` sets the worker
 //! pool width (default: all cores; 1 = serial). Results are printed as
 //! text tables and, with `--out`, also dumped as JSON for
-//! EXPERIMENTS.md; `--out` additionally persists the cell cache
-//! (`cells.json`) so overlapping sweeps across invocations are reused,
-//! plus sweep telemetry (`metrics.json`: worker counts, per-cell wall
-//! time, cache hit statistics).
+//! EXPERIMENTS.md; `--out` additionally journals every finished cell
+//! (`journal.jsonl`, see below) so overlapping sweeps across
+//! invocations are reused, and writes every cell the run held
+//! (`cells.json`, a derived output that is never read back) plus sweep
+//! telemetry (`metrics.json`: worker counts, per-cell wall time, cache
+//! hit statistics).
 //!
 //! `--trace-events PATH` runs one traced RAMpage simulation (the 4 KB
 //! switching configuration at 1 GHz) and writes its event stream as
@@ -49,15 +51,15 @@
 //!
 //! With `--out`, sweeps are additionally crash-safe: every cell
 //! transition is appended to a durable journal (`DIR/journal.jsonl`),
-//! so a killed run resumes from its last completed cell when rerun
-//! with the same `--out`, and several concurrent `repro` processes
+//! the only store a run reads back. A killed run resumes from its last
+//! completed cell when rerun with the same `--out`, a finished one
+//! simulates nothing new, and several concurrent `repro` processes
 //! sharing one `--out` cooperatively drain the grid via per-cell
 //! leases (give each a distinct `--owner-id`, or let the pid-based
 //! default apply). `--resume` asserts a journal already exists (a
-//! typo'd fresh directory fails instead of silently restarting);
-//! `--no-journal` turns journaling off. SIGINT/SIGTERM request a
-//! graceful shutdown: in-flight cells finish, the journal and cell
-//! cache are persisted, and the exit code says "resumable".
+//! typo'd fresh directory fails instead of silently restarting).
+//! SIGINT/SIGTERM request a graceful shutdown: in-flight cells finish
+//! and are journaled, and the exit code says "resumable".
 //! `--watchdog` arms the hung-cell watchdog (budget = p99 of completed
 //! cells × 8, floored at `--stall-floor-ms`, doubled per retry up to
 //! `--stall-retries` extra attempts); see EXPERIMENTS.md § Resumable
@@ -91,7 +93,6 @@ struct Options {
     trace_dir: Option<String>,
     owner_id: Option<String>,
     resume: bool,
-    no_journal: bool,
     watchdog: bool,
     stall_floor_ms: Option<u64>,
     stall_retries: Option<u32>,
@@ -137,7 +138,6 @@ fn parse_args() -> Result<Options, String> {
         trace_dir: None,
         owner_id: None,
         resume: false,
-        no_journal: false,
         watchdog: false,
         stall_floor_ms: None,
         stall_retries: None,
@@ -194,7 +194,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.owner_id = Some(v);
             }
             "--resume" => opts.resume = true,
-            "--no-journal" => opts.no_journal = true,
             "--watchdog" => opts.watchdog = true,
             "--stall-floor-ms" => {
                 let v = args.next().ok_or("--stall-floor-ms needs a value")?;
@@ -236,9 +235,6 @@ fn parse_args() -> Result<Options, String> {
     if opts.resume && opts.out_dir.is_none() {
         return Err("--resume needs --out DIR (the journal lives next to cells.json)".into());
     }
-    if opts.resume && opts.no_journal {
-        return Err("--resume and --no-journal are contradictory".into());
-    }
     if !opts.fault_specs.is_empty() && !cfg!(feature = "fault") {
         return Err("--fault requires a build with --features fault".into());
     }
@@ -247,7 +243,7 @@ fn parse_args() -> Result<Options, String> {
 
 const USAGE: &str = "usage: repro [--scale N] [--nbench N] [--jobs N] [--out DIR] \
 [--trace-dir DIR] [--max-cell-failures N] [--trace-events PATH] [--trace-cap N] \
-[--resume] [--owner-id ID] [--no-journal] [--watchdog] [--stall-floor-ms N] \
+[--resume] [--owner-id ID] [--watchdog] [--stall-floor-ms N] \
 [--stall-retries N] [--dram-backend flat|banked] \
 <table1|table2|table3|fig2|fig3|fig4|table4|table5|fig5|ablations|perbench|anatomy|timeslice|dramdiff|all>...\n\
        repro trace <record|info|verify|import-din> (see repro trace --help)\n\
@@ -333,57 +329,42 @@ fn main() {
         runner.jobs()
     );
 
-    // A persisted cell cache under --out carries finished cells across
-    // invocations (the fingerprint covers config + workload, so stale
-    // reuse is impossible; a version bump invalidates the file).
+    // With --out, every cell transition goes through a durable journal:
+    // it is the one record finished cells come back from, so a killed
+    // or repeated run skips them, and concurrent processes sharing the
+    // directory drain the grid cooperatively. `cells.json` is written
+    // from the cache at the end and never read.
     let cells_path = opts
         .out_dir
         .as_ref()
         .map(|d| Path::new(d).join("cells.json"));
     if let Some(dir) = &opts.out_dir {
-        // The journal (and later the persisted artifacts) need the
-        // directory up front, not at save time.
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create --out {dir}: {e}");
             std::process::exit(1);
         }
-    }
-    if let Some(path) = &cells_path {
-        let load = runner.cache().load_file(path);
-        if !load.is_clean() || load.loaded > 0 {
-            eprintln!("# cache {}: {}", path.display(), load.describe());
+        let jpath = Path::new(dir).join("journal.jsonl");
+        if opts.resume && !jpath.exists() {
+            eprintln!(
+                "--resume: no journal at {} — nothing to resume \
+                 (drop --resume to start fresh)",
+                jpath.display()
+            );
+            std::process::exit(2);
         }
-    }
-    // Crash safety: with --out, every cell transition goes through a
-    // durable journal so a killed run resumes and concurrent processes
-    // sharing the directory drain the grid cooperatively.
-    if let Some(dir) = &opts.out_dir {
-        if opts.no_journal {
-            eprintln!("# journal: disabled (--no-journal)");
-        } else {
-            let jpath = Path::new(dir).join("journal.jsonl");
-            if opts.resume && !jpath.exists() {
-                eprintln!(
-                    "--resume: no journal at {} — nothing to resume \
-                     (drop --resume to start fresh)",
-                    jpath.display()
-                );
-                std::process::exit(2);
+        let owner = opts
+            .owner_id
+            .clone()
+            .unwrap_or_else(|| format!("pid{}", std::process::id()));
+        runner = match runner.with_journal(&jpath, LeaseConfig::new(owner)) {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("cannot open journal {}: {e}", jpath.display());
+                std::process::exit(1);
             }
-            let owner = opts
-                .owner_id
-                .clone()
-                .unwrap_or_else(|| format!("pid{}", std::process::id()));
-            runner = match runner.with_journal(&jpath, LeaseConfig::new(owner)) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("cannot open journal {}: {e}", jpath.display());
-                    std::process::exit(1);
-                }
-            };
-            if let Some(summary) = runner.resume_summary() {
-                eprintln!("# {summary}");
-            }
+        };
+        if let Some(summary) = runner.resume_summary() {
+            eprintln!("# {summary}");
         }
     }
 
@@ -616,7 +597,7 @@ fn main() {
         if runner.interrupted() {
             // Interrupted tables hold placeholder cells; publishing
             // them as results.json would look like real output. The
-            // journal and cell cache below carry the resumable state.
+            // journal carries the resumable state.
             eprintln!("# interrupted: skipping results.json (tables are partial)");
         } else {
             let results: Vec<(String, Json)> = json.into_iter().collect();

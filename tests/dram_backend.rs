@@ -12,11 +12,11 @@
 //! 2. **Fingerprint stability** — adding the banked variant must not
 //!    move any existing flat configuration's cache fingerprint (pinned
 //!    values below), and a banked override must always produce a
-//!    *different* fingerprint, so persisted `cells.json` entries can
-//!    never alias across backends.
+//!    *different* fingerprint, so journaled cells can never alias
+//!    across backends.
 
 use rampage_core::experiments::grids::preset_grids;
-use rampage_core::experiments::{run_config, Job, SweepRunner, Workload};
+use rampage_core::experiments::{run_config, Job, LeaseConfig, SweepRunner, Workload};
 use rampage_core::{DramKind, IssueRate, SystemConfig};
 use rampage_dram::BankedConfig;
 use std::collections::HashSet;
@@ -109,8 +109,8 @@ fn degenerate_banked_matches_flat_on_solo_workloads() {
 
 /// Pinned flat fingerprints: introducing the banked variant must not
 /// perturb any existing config's cache identity. If this test fails,
-/// every persisted `cells.json` in the wild silently cold-starts — a
-/// change that must be deliberate (bump `CACHE_FORMAT_VERSION`), never
+/// every journal in the wild silently cold-starts — a change that must
+/// be deliberate (bump the `cells.json` format version), never
 /// accidental.
 #[test]
 fn flat_fingerprints_are_pinned() {
@@ -177,34 +177,50 @@ fn banked_override_always_changes_the_fingerprint() {
     }
 }
 
-/// A flat sweep's persisted cells.json round-trips bit-identically and
-/// is hit — not recomputed — by a fresh runner, with banked cells
-/// coexisting in the same file under their own fingerprints.
+/// A flat sweep's journaled cells come back bit-identically and are
+/// hit — not recomputed — by a fresh runner on the same journal, with
+/// banked cells coexisting in it under their own fingerprints, and the
+/// `cells.json` written from either run is the same file.
 #[test]
 fn flat_cells_json_is_stable_and_shared_with_banked() {
     let dir = scratch("roundtrip");
-    let path = dir.join("cells.json");
+    let journal = dir.join("journal.jsonl");
     let w = Workload::quick();
     let flat_cfg = SystemConfig::rampage(IssueRate::GHZ1, 512);
     let banked_cfg = degenerate(&flat_cfg);
+    let runner = || {
+        SweepRunner::serial()
+            .with_journal(&journal, LeaseConfig::new("A".into()))
+            .expect("open journal")
+    };
 
-    let first = SweepRunner::serial();
+    let first = runner();
     let a = first.run_one(&flat_cfg, &w);
     let b = first.run_one(&banked_cfg, &w);
     assert_eq!(a, b, "degenerate equivalence");
     assert_eq!(first.cache().len(), 2, "two distinct fingerprints cached");
-    first.cache().save_file(&path).expect("save cells.json");
+    first
+        .cache()
+        .save_file(&dir.join("first.json"))
+        .expect("save");
 
-    let second = SweepRunner::serial();
-    let load = second.cache().load_file(&path);
-    assert!(load.is_clean(), "reload must be clean: {}", load.describe());
-    assert_eq!(load.loaded, 2);
+    let second = runner();
+    assert_eq!(second.resumed_cells(), 2, "both cells read back");
     let a2 = second.run_one(&flat_cfg, &w);
     let b2 = second.run_one(&banked_cfg, &w);
     assert_eq!(second.cache().hits(), 2, "both cells must come from cache");
     assert_eq!(second.cache().computed(), 0);
     assert_eq!(a, a2, "flat cell changed across persistence");
     assert_eq!(b, b2, "banked cell changed across persistence");
+    second
+        .cache()
+        .save_file(&dir.join("second.json"))
+        .expect("save");
+    assert_eq!(
+        std::fs::read(dir.join("first.json")).expect("read"),
+        std::fs::read(dir.join("second.json")).expect("read"),
+        "cells.json must not change across a journal round trip"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

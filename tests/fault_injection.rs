@@ -7,7 +7,7 @@
 
 #![cfg(feature = "fault")]
 
-use rampage_core::experiments::{fault, CellCache, Job, LeaseConfig, SweepRunner, Workload};
+use rampage_core::experiments::{fault, Job, LeaseConfig, SweepRunner, Workload};
 use rampage_core::{IssueRate, SystemConfig};
 use rampage_trace::io::{BinReader, BinWriter, TraceIoError};
 use rampage_trace::{TraceRecord, TraceSource};
@@ -42,7 +42,6 @@ fn scope_isolates_armed_state_between_tests() {
         // Armed but never fired: a test that bails here must not leak
         // the armed panic into whoever acquires the scope next.
         fault::arm_cell_panic(job.fingerprint(), u32::MAX);
-        fault::arm_torn_save(u32::MAX);
     }
     let _g = armed_section();
     let runner = SweepRunner::serial();
@@ -119,39 +118,6 @@ fn two_workers_run_two_cells_at_once_with_a_journal() {
         .expect("open journal");
     assert_two_cells_run_concurrently(&runner);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn torn_save_is_quarantined_on_the_next_load() {
-    let _g = armed_section();
-    let dir = scratch("torn");
-    let path = dir.join("cells.json");
-    let runner = SweepRunner::serial();
-    runner.run_one(
-        &SystemConfig::baseline(IssueRate::GHZ1, 256),
-        &Workload::quick(),
-    );
-
-    fault::arm_torn_save(1);
-    runner
-        .cache()
-        .save_file(&path)
-        .expect("the torn save itself reports success");
-    let half = std::fs::metadata(&path).expect("file exists").len();
-
-    let cache = CellCache::new();
-    let load = cache.load_file(&path);
-    assert!(!load.is_clean(), "a torn file must not load cleanly");
-    assert_eq!(load.loaded, 0);
-    assert!(load.error.is_some());
-    assert!(load.quarantined.is_some());
-    assert!(!path.exists(), "the torn file is moved aside");
-
-    // Disarmed, the save is atomic again and strictly longer than the
-    // torn half, and reloads cleanly.
-    runner.cache().save_file(&path).expect("clean save");
-    assert!(std::fs::metadata(&path).expect("file exists").len() > half);
-    assert!(CellCache::new().load_file(&path).is_clean());
 }
 
 #[test]
