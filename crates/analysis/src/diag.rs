@@ -7,9 +7,6 @@ use std::fmt;
 /// JSON output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// Hash-ordered iteration (`iter`/`keys`/`values`/`drain`/`into_iter`
-    /// on a `HashMap`/`HashSet`) in a simulation path.
-    HashIter,
     /// `Instant::now`/`SystemTime` read outside the timing allowlist.
     WallClock,
     /// `std::env` or thread-id read in a simulation path.
@@ -49,8 +46,7 @@ pub enum RuleId {
 
 impl RuleId {
     /// All rules, in report order.
-    pub const ALL: [RuleId; 14] = [
-        RuleId::HashIter,
+    pub const ALL: [RuleId; 13] = [
         RuleId::WallClock,
         RuleId::EnvRead,
         RuleId::PanicDoc,
@@ -69,7 +65,6 @@ impl RuleId {
     /// The stable string id (used in waivers and JSON).
     pub fn as_str(self) -> &'static str {
         match self {
-            RuleId::HashIter => "hash-iter",
             RuleId::WallClock => "wall-clock",
             RuleId::EnvRead => "env-read",
             RuleId::PanicDoc => "panic-doc",
@@ -90,7 +85,6 @@ impl RuleId {
     /// waived, so they don't parse.
     pub fn from_waiver_str(s: &str) -> Option<RuleId> {
         Some(match s {
-            "hash-iter" => RuleId::HashIter,
             "wall-clock" => RuleId::WallClock,
             "env-read" => RuleId::EnvRead,
             "panic-doc" => RuleId::PanicDoc,
@@ -128,7 +122,6 @@ impl RuleId {
     /// One-line description, used by SARIF rule metadata and `--explain`.
     pub fn short_description(self) -> &'static str {
         match self {
-            RuleId::HashIter => "hash-ordered iteration in a simulation path",
             RuleId::WallClock => "wall-clock read outside the timing allowlist",
             RuleId::EnvRead => "environment/thread-id read in a simulation path",
             RuleId::PanicDoc => "undocumented panic in library code",
@@ -148,13 +141,6 @@ impl RuleId {
     /// Full help text for `repro lint --explain <rule>`.
     pub fn explain(self) -> &'static str {
         match self {
-            RuleId::HashIter => {
-                "hash-iter (token tier)\n\
-                 Iterating a HashMap/HashSet yields a different order on every run\n\
-                 (the hasher is seeded randomly), so any simulated result derived\n\
-                 from the order is nondeterministic. Use BTreeMap/BTreeSet or sort\n\
-                 before iterating in simulation paths."
-            }
             RuleId::WallClock => {
                 "wall-clock (token tier)\n\
                  Instant::now/SystemTime reads are only legitimate in reporting\n\
@@ -399,13 +385,13 @@ mod tests {
             file: "x.rs".into(),
             line: 1,
             col: 2,
-            rule: RuleId::HashIter,
+            rule: RuleId::EnvRead,
             message: "m".into(),
             waiver,
         };
         let report = render_json_report(&[mk(WaiverStatus::None), mk(WaiverStatus::Waived)]);
         assert!(report.contains("\"active\":1"));
         assert!(report.contains("\"waived\":1"));
-        assert!(report.contains("\"rule\":\"hash-iter\""));
+        assert!(report.contains("\"rule\":\"env-read\""));
     }
 }

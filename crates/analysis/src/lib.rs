@@ -4,9 +4,10 @@
 //!
 //! The analyzer lexes every `.rs` file with its own hand-rolled lexer
 //! (see [`lexer`]) and runs repo-specific rule passes (see [`rules`])
-//! that clippy cannot express: hash-ordered iteration in simulation
-//! crates, wall-clock reads outside the timing allowlist, undocumented
-//! panics, experiment-file routing, and exhaustive error matching.
+//! that clippy does not yet take over: wall-clock and environment reads,
+//! undocumented panics, experiment-file routing, and exhaustive error
+//! matching. (Hash-ordered iteration moved to clippy: see
+//! `scripts/check.sh`.)
 //! Findings can be suppressed site-by-site with
 //! `// lint: allow(<rule>) — <reason>` waivers; a waiver without a
 //! reason or without a matching finding is itself a diagnostic.
@@ -69,8 +70,7 @@ pub struct FileClass {
     /// Library code (crate `src/` trees, minus binaries): panic
     /// discipline and error-match apply.
     pub is_lib: bool,
-    /// Determinism-critical simulation path: hash-iter and env-read
-    /// apply.
+    /// Determinism-critical simulation path: env-read applies.
     pub sim_path: bool,
     /// On the timing allowlist: wall-clock reads permitted (sweep-runner
     /// timing, binaries, benches).
@@ -335,7 +335,7 @@ mod tests {
         let c = classify("tests/runner_golden.rs");
         assert!(c.is_test && !c.is_lib);
 
-        let c = classify("crates/analysis/tests/fixtures/bad/hash_iter.rs");
+        let c = classify("crates/analysis/tests/fixtures/bad/env_read.rs");
         assert!(c.is_test);
 
         let c = classify("crates/core/src/system/mod.rs");

@@ -1,12 +1,9 @@
 //! The rule passes: token-stream lints and waiver resolution.
 //!
 //! Every pass works on the lexed token stream — there is no type
-//! information, so rules that need types (hash-iter) use a declared-name
-//! heuristic: any binding, field, or parameter whose declaration
-//! mentions `HashMap`/`HashSet` is tracked by name, and iteration-order
-//! methods on those names are flagged.
-
-use std::collections::BTreeSet;
+//! information. Rules that need types live in clippy instead (hash-ordered
+//! iteration is `clippy::iter_over_hash_type` plus `clippy.toml`'s
+//! disallowed methods, denied by `scripts/check.sh`).
 
 use crate::diag::{Diagnostic, RuleId, WaiverStatus};
 use crate::lexer::{tokenize, Token, TokenKind};
@@ -15,17 +12,6 @@ use crate::FileClass;
 /// Macros whose presence in library code demands an `// invariant:`
 /// comment or a `# Panics` doc section.
 const PANIC_MACROS: [&str; 5] = ["panic", "unreachable", "assert", "assert_eq", "assert_ne"];
-
-/// Iteration-order methods that leak hash ordering.
-const HASH_ITER_METHODS: [&str; 7] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-];
 
 /// Methods we hop through when resolving a receiver chain like
 /// `self.map.lock().iter()` back to the field name.
@@ -86,7 +72,6 @@ pub fn analyze_source_tier(
 
     let mut diags = Vec::new();
     if class.sim_path && !class.is_test {
-        hash_iter_pass(rel, &code, &mut diags);
         env_read_pass(rel, &code, &mut diags);
     }
     if !class.wall_clock_allowed && !class.is_test {
@@ -276,119 +261,6 @@ fn is_test_attr(content: &[&Token]) -> bool {
 // Determinism rules
 // ---------------------------------------------------------------------------
 
-/// Track names declared with `HashMap`/`HashSet` types, then flag
-/// iteration-order methods on them (and `for … in name` loops).
-fn hash_iter_pass(rel: &str, code: &Code<'_>, diags: &mut Vec<Diagnostic>) {
-    let names = hash_typed_names(code);
-    for j in 0..code.len() {
-        // `recv.iter()` and friends.
-        if let Some(m) = code.ident(j) {
-            if HASH_ITER_METHODS.contains(&m) && code.is_punct(j + 1, '(') {
-                if let Some(recv) = receiver_ident(code, j) {
-                    if names.contains(recv.as_str()) {
-                        let (line, col) = code.pos(j);
-                        diags.push(diag(
-                            rel,
-                            line,
-                            col,
-                            RuleId::HashIter,
-                            format!(
-                                "`{m}()` on hash-ordered collection `{recv}` — iteration order is \
-                             nondeterministic; use a BTreeMap/sorted keys or waive with a reason"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-        // `for pat in [&mut] name {` / `for pat in [&mut] self.name {`.
-        if code.is_ident(j, "for") {
-            if let Some((name, line, col)) = for_loop_hash_target(code, j, &names) {
-                diags.push(diag(
-                    rel,
-                    line,
-                    col,
-                    RuleId::HashIter,
-                    format!(
-                        "for-loop over hash-ordered collection `{name}` — iteration order is \
-                     nondeterministic; use a BTreeMap/sorted keys or waive with a reason"
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Collect every name whose declaration mentions `HashMap`/`HashSet`:
-/// `name: …HashMap<…>…` (fields, params, typed lets) and
-/// `let [mut] name = …HashMap::new()…` bindings.
-fn hash_typed_names(code: &Code<'_>) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for j in 0..code.len() {
-        // Pattern A: `name : <type…HashMap…>` — stop the type scan at a
-        // delimiter outside all brackets.
-        if let Some(name) = code.ident(j) {
-            if code.is_punct(j + 1, ':')
-                && !code.is_punct(j + 2, ':')
-                && !code.is_punct(j.wrapping_sub(1), ':')
-            {
-                let mut angle = 0i32;
-                let mut paren = 0i32;
-                for k in (j + 2)..(j + 2 + 64).min(code.len()) {
-                    if let Some(id) = code.ident(k) {
-                        if id == "HashMap" || id == "HashSet" {
-                            names.insert(name.to_string());
-                            break;
-                        }
-                    } else if code.is_punct(k, '<') {
-                        angle += 1;
-                    } else if code.is_punct(k, '>') && !code.is_punct(k.wrapping_sub(1), '-') {
-                        angle -= 1;
-                        if angle < 0 {
-                            break;
-                        }
-                    } else if code.is_punct(k, '(') {
-                        paren += 1;
-                    } else if code.is_punct(k, ')') {
-                        paren -= 1;
-                        if paren < 0 {
-                            break;
-                        }
-                    } else if angle == 0 && paren == 0 {
-                        let stop = [',', ';', '=', '{', '}'];
-                        if stop.iter().any(|&c| code.is_punct(k, c)) {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        // Pattern B: `let [mut] name = … HashMap/HashSet … ;`
-        if code.is_ident(j, "let") {
-            let mut p = j + 1;
-            if code.is_ident(p, "mut") {
-                p += 1;
-            }
-            if let Some(name) = code.ident(p) {
-                if code.is_punct(p + 1, '=') && !code.is_punct(p + 2, '=') {
-                    for k in (p + 2)..(p + 2 + 128).min(code.len()) {
-                        if code.is_punct(k, ';') {
-                            break;
-                        }
-                        if let Some(id) = code.ident(k) {
-                            if id == "HashMap" || id == "HashSet" {
-                                names.insert(name.to_string());
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    names
-}
-
 /// Resolve the receiver of a `.method(` call at code index `j` back to a
 /// simple identifier, hopping through `lock()`-style wrappers.
 fn receiver_ident(code: &Code<'_>, mut j: usize) -> Option<String> {
@@ -428,40 +300,6 @@ fn receiver_ident(code: &Code<'_>, mut j: usize) -> Option<String> {
             _ => return None,
         }
     }
-}
-
-/// For a `for` keyword at code index `j`, return the hash-typed loop
-/// target if the loop iterates a tracked name directly.
-fn for_loop_hash_target(
-    code: &Code<'_>,
-    j: usize,
-    names: &BTreeSet<String>,
-) -> Option<(String, u32, u32)> {
-    // Find the `in` keyword (patterns may contain parens/commas).
-    let mut k = j + 1;
-    let limit = (j + 32).min(code.len());
-    while k < limit && !code.is_ident(k, "in") {
-        k += 1;
-    }
-    if !code.is_ident(k, "in") {
-        return None;
-    }
-    let mut p = k + 1;
-    while code.is_punct(p, '&') || code.is_ident(p, "mut") {
-        p += 1;
-    }
-    // Allow a `self.` prefix.
-    if code.is_ident(p, "self") && code.is_punct(p + 1, '.') {
-        p += 2;
-    }
-    let name = code.ident(p)?;
-    // Only a bare name followed by the loop body: method calls on the
-    // name (`name.keys()`) are handled by the method pass.
-    if code.is_punct(p + 1, '{') && names.contains(name) {
-        let (line, col) = code.pos(p);
-        return Some((name.to_string(), line, col));
-    }
-    None
 }
 
 /// Flag `Instant::now` and any `SystemTime` use.

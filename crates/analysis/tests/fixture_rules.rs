@@ -40,65 +40,6 @@ fn assert_findings(diags: &[Diagnostic], expected: &[(RuleId, u32, u32)]) {
 }
 
 #[test]
-fn hash_iter_fires_on_methods_and_for_loops() {
-    let text = fixture("bad/hash_iter.rs");
-    let diags = analyze_one("crates/vm/src/hash_iter.rs", &text);
-    let m_iter = loc(&text, "iter()");
-    let for_set = loc(&text, "set {");
-    assert_findings(
-        &diags,
-        &[
-            (RuleId::HashIter, m_iter.0, m_iter.1),
-            (RuleId::HashIter, for_set.0, for_set.1),
-        ],
-    );
-}
-
-#[test]
-fn hash_iter_quiet_on_ordered_collections_and_point_lookups() {
-    let text = fixture("good/hash_iter.rs");
-    let diags = analyze_one("crates/vm/src/hash_iter.rs", &text);
-    assert_findings(&diags, &[]);
-}
-
-#[test]
-fn bank_iter_fires_in_the_banked_backend_modules() {
-    // Per-bank state iterated in hash order: nondeterministic transfer
-    // timing. Both the dram crate's modules and the core channel router
-    // are simulation paths.
-    let text = fixture("bad/bank_iter.rs");
-    let m_iter = loc(&text, "iter()");
-    let for_banks = loc(&text, "banks {");
-    for rel in ["crates/dram/src/bank_iter.rs", "crates/core/src/channel.rs"] {
-        let diags = analyze_one(rel, &text);
-        assert_findings(
-            &diags,
-            &[
-                (RuleId::HashIter, m_iter.0, m_iter.1),
-                (RuleId::HashIter, for_banks.0, for_banks.1),
-            ],
-        );
-    }
-}
-
-#[test]
-fn bank_iter_quiet_on_vec_indexed_banks() {
-    let text = fixture("good/bank_iter.rs");
-    for rel in ["crates/dram/src/bank_iter.rs", "crates/core/src/channel.rs"] {
-        let diags = analyze_one(rel, &text);
-        assert_findings(&diags, &[]);
-    }
-}
-
-#[test]
-fn hash_iter_not_applied_outside_simulation_paths() {
-    // The same bad source in a non-simulation crate is out of scope.
-    let text = fixture("bad/hash_iter.rs");
-    let diags = analyze_one("crates/json/src/hash_iter.rs", &text);
-    assert_findings(&diags, &[]);
-}
-
-#[test]
 fn wall_clock_fires_outside_the_allowlist() {
     let text = fixture("bad/wall_clock.rs");
     let diags = analyze_one("crates/core/src/report.rs", &text);
@@ -249,7 +190,7 @@ fn waiver_with_reason_suppresses_the_next_line() {
     assert_findings(&diags, &[]);
     // The finding still exists — it is recorded as waived, not dropped.
     assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert_eq!(diags[0].rule, RuleId::HashIter);
+    assert_eq!(diags[0].rule, RuleId::EnvRead);
     assert!(!diags[0].is_active());
     assert!(diags[0].render_text().ends_with("(waived)"));
 }
@@ -258,13 +199,13 @@ fn waiver_with_reason_suppresses_the_next_line() {
 fn waiver_without_reason_suppresses_nothing() {
     let text = fixture("bad/waiver_missing_reason.rs");
     let diags = analyze_one("crates/cache/src/waiver.rs", &text);
-    let site = loc(&text, "values()");
-    let waiver = loc(&text, "// lint: allow(hash-iter)");
+    let site = loc(&text, "env::var");
+    let waiver = loc(&text, "// lint: allow(env-read)");
     assert_findings(
         &diags,
         &[
             (RuleId::WaiverMissingReason, waiver.0, waiver.1),
-            (RuleId::HashIter, site.0, site.1),
+            (RuleId::EnvRead, site.0, site.1),
         ],
     );
 }
@@ -273,7 +214,7 @@ fn waiver_without_reason_suppresses_nothing() {
 fn unused_and_unknown_waivers_are_findings() {
     let text = fixture("bad/unused_waiver.rs");
     let diags = analyze_one("crates/cache/src/waiver.rs", &text);
-    let unused = loc(&text, "// lint: allow(hash-iter)");
+    let unused = loc(&text, "// lint: allow(env-read)");
     let unknown = loc(&text, "// lint: allow(no-such-rule)");
     assert_findings(
         &diags,

@@ -1,13 +1,11 @@
 // Fixture: waivers that match no finding, including one naming an
 // unknown rule. Never compiled.
-use std::collections::BTreeMap;
-
-pub fn sum(m: &BTreeMap<u64, u64>) -> u64 {
-    // lint: allow(hash-iter) — BTreeMap is ordered, nothing fires here
-    m.values().sum()
+pub fn verbose(flag: bool) -> bool {
+    // lint: allow(env-read) — the flag is plumbed in, nothing fires here
+    flag
 }
 
-pub fn total(m: &BTreeMap<u64, u64>) -> u64 {
+pub fn total(v: &[u64]) -> u64 {
     // lint: allow(no-such-rule) — a reason does not rescue an unknown id
-    m.len() as u64
+    v.len() as u64
 }

@@ -1,8 +1,6 @@
 // Fixture: a waiver without a reason suppresses nothing and is itself a
 // finding. Never compiled.
-use std::collections::HashMap;
-
-pub fn sum(m: &HashMap<u64, u64>) -> u64 {
-    // lint: allow(hash-iter)
-    m.values().sum()
+pub fn verbose() -> bool {
+    // lint: allow(env-read)
+    std::env::var("RAMPAGE_VERBOSE").is_ok()
 }

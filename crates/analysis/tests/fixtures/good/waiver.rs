@@ -1,8 +1,6 @@
 // Fixture: a reasoned waiver suppresses the finding on the next line.
 // Never compiled.
-use std::collections::HashMap;
-
-pub fn sum(m: &HashMap<u64, u64>) -> u64 {
-    // lint: allow(hash-iter) — summation is order-independent
-    m.values().sum()
+pub fn verbose() -> bool {
+    // lint: allow(env-read) — diagnostics only, never reaches a result
+    std::env::var("RAMPAGE_VERBOSE").is_ok()
 }

@@ -26,7 +26,7 @@ pub struct AccessResult {
     pub eviction: Option<Eviction>,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Line {
     tag: u64,
     valid: bool,
@@ -46,6 +46,13 @@ struct Line {
 /// under LRU, the fill time under FIFO (unused under random). The
 /// victim of a full set is the way with the smallest stamp, the first
 /// such way on a tie.
+///
+/// The cache also remembers the block the last [`Cache::access`] touched
+/// and the line that holds it, so [`Cache::reread_last`] can book a
+/// repeat read of that block without a set scan. Only an access can put
+/// a different block in that line, and every access refreshes the
+/// record; [`Cache::invalidate_block`] and [`Cache::flush`], the only
+/// other ways a block leaves, clear it.
 #[derive(Debug)]
 pub struct Cache {
     geo: Geometry,
@@ -57,6 +64,9 @@ pub struct Cache {
     rng: StdRng,
     clock: u64,
     stats: CacheStats,
+    /// Block number and line index of the last access, until an
+    /// invalidation or flush.
+    last: Option<(u64, usize)>,
 }
 
 impl Cache {
@@ -79,6 +89,7 @@ impl Cache {
             rng: StdRng::seed_from_u64(seed),
             clock: 0,
             stats: CacheStats::default(),
+            last: None,
         }
     }
 
@@ -149,12 +160,14 @@ impl Cache {
     /// Returns whether it hit and, on a miss, the valid block that the
     /// fill displaced (with its dirty flag, so the caller can charge a
     /// write-back).
+    #[inline]
     pub fn access(&mut self, addr: PhysAddr, is_write: bool) -> AccessResult {
         self.clock += 1;
         let set = self.set_of(addr);
         let tag = self.geo.tag(addr);
         if let Some(way) = self.find_way(set, tag) {
             let idx = self.line_index(set, way);
+            self.last = Some((self.geo.block_number(addr), idx));
             if is_write {
                 self.lines[idx].dirty = true;
                 self.stats.write_hits += 1;
@@ -192,11 +205,31 @@ impl Cache {
             valid: true,
             dirty: is_write,
         };
+        self.last = Some((self.geo.block_number(addr), idx));
         // LRU and FIFO both stamp at fill time.
         self.stamps[idx] = self.clock;
         AccessResult {
             hit: false,
             eviction,
+        }
+    }
+
+    /// Book a read of `addr` exactly as [`Cache::access`] would, but only
+    /// if `addr` falls in the block the last access touched: that block
+    /// is still present (see the type docs), so the read is a hit.
+    /// Returns false, changing nothing, for any other address.
+    #[inline]
+    pub fn reread_last(&mut self, addr: PhysAddr) -> bool {
+        match self.last {
+            Some((block, idx)) if block == self.geo.block_number(addr) => {
+                self.clock += 1;
+                self.stats.read_hits += 1;
+                if self.policy == ReplacementPolicy::Lru {
+                    self.stamps[idx] = self.clock;
+                }
+                true
+            }
+            _ => false,
         }
     }
 
@@ -236,6 +269,7 @@ impl Cache {
     /// reuse invalidates L1 blocks of the outgoing page). A returned
     /// dirty eviction must be written back by the caller.
     pub fn invalidate_block(&mut self, addr: PhysAddr) -> Option<Eviction> {
+        self.last = None;
         let set = self.set_of(addr);
         let way = self.find_way(set, self.geo.tag(addr))?;
         let idx = self.line_index(set, way);
@@ -282,6 +316,7 @@ impl Cache {
     /// Invalidate everything, returning all dirty blocks (for drain /
     /// teardown paths; not used on the simulator fast path).
     pub fn flush(&mut self) -> Vec<Eviction> {
+        self.last = None;
         let mut dirty = Vec::new();
         let sets = self.geo.sets() as usize;
         let ways = self.geo.ways() as usize;
@@ -491,6 +526,104 @@ mod tests {
         assert_eq!(s.write_misses, 1);
         c.reset_stats();
         assert_eq!(c.stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn invalidated_last_line_is_not_reread() {
+        let mut c = dm_cache(1024, 32);
+        c.access(PhysAddr(0x40), false);
+        c.invalidate_block(PhysAddr(0x40));
+        assert!(!c.reread_last(PhysAddr(0x40)), "invalidate_block");
+        c.access(PhysAddr(0x40), false);
+        c.invalidate_region(PhysAddr(0), 128, |_| {});
+        assert!(!c.reread_last(PhysAddr(0x40)), "invalidate_region");
+        c.access(PhysAddr(0x40), false);
+        c.flush();
+        assert!(!c.reread_last(PhysAddr(0x40)), "flush");
+        let s = c.stats();
+        assert_eq!(
+            (s.read_hits, s.read_misses),
+            (0, 3),
+            "only the accesses count"
+        );
+        assert!(
+            !c.access(PhysAddr(0x40), false).hit,
+            "the block really left"
+        );
+    }
+
+    /// Everything a later operation can observe: counters, the clock,
+    /// the replacement stamps and the lines.
+    fn state(c: &Cache) -> (CacheStats, u64, Vec<u64>, Vec<Line>) {
+        (c.stats, c.clock, c.stamps.clone(), c.lines.clone())
+    }
+
+    /// Twin caches fed the same seeded operation stream, except that
+    /// where `reread_last` succeeds on one the other calls `access`: the
+    /// access must be a hit, and the two caches must stay identical
+    /// after every operation (so every later victim agrees too).
+    #[test]
+    fn reread_last_is_equivalent_to_a_read_access() {
+        for ways in [1, 4] {
+            for policy in [
+                ReplacementPolicy::Lru,
+                ReplacementPolicy::Fifo,
+                ReplacementPolicy::Random,
+            ] {
+                let geo = Geometry::new(1024, 32, ways).unwrap();
+                let mut fast = Cache::with_seed(geo, policy, 99);
+                let mut slow = Cache::with_seed(geo, policy, 99);
+                let mut rng = StdRng::seed_from_u64(0x7e57 + ways as u64);
+                let mut last = 0u64;
+                let mut rereads = 0;
+                for step in 0..20_000 {
+                    // Mostly the last block or its neighbour, so rereads,
+                    // invalidations and regions often hit the memo.
+                    let a = match rng.gen_range(0..4u32) {
+                        0 | 1 => (last & !31) | rng.gen_range(0..32u64),
+                        2 => (last & !31) + 32 + rng.gen_range(0..32u64),
+                        _ => rng.gen_range(0..8192u64),
+                    };
+                    let what = format!("{ways}-way {policy:?} step {step} addr {a:#x}");
+                    match rng.gen_range(0..100u32) {
+                        0..=34 => {
+                            let w = rng.gen_range(0..4u32) == 0;
+                            let r = fast.access(PhysAddr(a), w);
+                            assert_eq!(r, slow.access(PhysAddr(a), w), "{what}");
+                            last = a;
+                        }
+                        35..=69 => {
+                            if fast.reread_last(PhysAddr(a)) {
+                                rereads += 1;
+                                let r = slow.access(PhysAddr(a), false);
+                                assert!(r.hit && r.eviction.is_none(), "{what}: not a hit");
+                            }
+                        }
+                        70..=79 => assert_eq!(
+                            fast.invalidate_block(PhysAddr(a)),
+                            slow.invalidate_block(PhysAddr(a)),
+                            "{what}"
+                        ),
+                        80..=85 => {
+                            let base = PhysAddr(a & !63);
+                            let len = 64 * rng.gen_range(1..4u64);
+                            let (mut ef, mut es) = (Vec::new(), Vec::new());
+                            let pf = fast.invalidate_region(base, len, |e| ef.push(e));
+                            let ps = slow.invalidate_region(base, len, |e| es.push(e));
+                            assert_eq!((pf, ef), (ps, es), "{what}");
+                        }
+                        86..=97 => assert_eq!(
+                            fast.mark_dirty(PhysAddr(a)),
+                            slow.mark_dirty(PhysAddr(a)),
+                            "{what}"
+                        ),
+                        _ => assert_eq!(fast.flush(), slow.flush(), "{what}"),
+                    }
+                    assert!(state(&fast) == state(&slow), "{what}: caches diverged");
+                }
+                assert!(rereads > 2_000, "{ways}-way {policy:?}: {rereads} rereads");
+            }
+        }
     }
 
     #[test]

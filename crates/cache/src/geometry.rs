@@ -131,6 +131,12 @@ impl Geometry {
         self.size / self.block
     }
 
+    /// Block number of an address (its bits above the block offset).
+    #[inline]
+    pub(crate) fn block_number(&self, addr: PhysAddr) -> u64 {
+        addr.0 >> self.block_bits
+    }
+
     /// Set index for an address.
     #[inline]
     pub fn set_index(&self, addr: PhysAddr) -> u64 {

@@ -119,9 +119,9 @@ fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// actually simulated.
 ///
 /// Keyed by a `BTreeMap` so every walk over the cache (serialization,
-/// reporting) is fingerprint-ordered by construction — the static
-/// analyzer's hash-iter rule is about exactly this class of ordering
-/// leak.
+/// reporting) is fingerprint-ordered by construction — the hash-order
+/// clippy lints that `scripts/check.sh` denies are about exactly this
+/// class of ordering leak.
 #[derive(Debug, Default)]
 pub struct CellCache {
     map: Mutex<BTreeMap<u64, Cell>>,
@@ -335,6 +335,16 @@ struct CellTiming {
     failed: bool,
     /// Index of the pool worker that simulated the cell.
     worker: usize,
+    /// User references the cell's workload drives through the engine.
+    refs: u64,
+}
+
+impl CellTiming {
+    /// Host nanoseconds per simulated user reference; `None` for a
+    /// failed cell, whose seconds did not buy a finished simulation.
+    fn host_ns_per_ref(&self) -> Option<f64> {
+        (!self.failed && self.refs > 0).then(|| self.secs * 1e9 / self.refs as f64)
+    }
 }
 
 /// Wall-clock record of one batch's worker pool, for `metrics.json`.
@@ -692,7 +702,9 @@ impl SweepRunner {
     /// strip one subtree and compare the rest byte-for-byte. Under
     /// `"wall"`, `batches` holds one entry per batch that simulated at
     /// least one cell: its pool's wall seconds, per-worker `busy_secs`,
-    /// and `parallel_efficiency` = Σ cell secs / (wall × workers).
+    /// and `parallel_efficiency` = Σ cell secs / (wall × workers). Each
+    /// `cells` entry carries the cell's wall `secs`, its user `refs` and
+    /// `host_ns_per_ref` (null for a failed cell).
     pub fn telemetry_json(&self) -> Json {
         let t = lock_recovering(&self.telemetry);
         let mut cells: Vec<CellTiming> = t.cells.clone();
@@ -724,6 +736,8 @@ impl SweepRunner {
                         "secs" => c.secs,
                         "failed" => c.failed,
                         "worker" => c.worker,
+                        "refs" => c.refs,
+                        "host_ns_per_ref" => c.host_ns_per_ref(),
                     })
                     .collect::<Vec<Json>>(),
                 "batches" => t
@@ -1257,6 +1271,7 @@ impl SweepRunner {
             secs: f.secs,
             failed: !matches!(f.outcome, JobOutcome::Done(_)),
             worker: f.worker,
+            refs: job.workload.total_refs(),
         };
         if let Some(cb) = &self.progress {
             let left =

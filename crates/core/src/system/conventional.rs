@@ -42,6 +42,8 @@ pub struct Conventional {
     os: OsModel,
     channel: ChannelSet,
     handler_buf: Vec<HandlerRef>,
+    /// Page-table probe addresses of the current TLB miss, reused.
+    probe_buf: Vec<PhysAddr>,
     l2_block: u64,
     /// Optional Jouppi victim buffer between L1 and L2 (§3.2 ablation).
     victim: Option<VictimCache>,
@@ -84,6 +86,7 @@ impl Conventional {
             os: OsModel::new(cfg.os_costs, os_layout),
             channel: ChannelSet::new(cfg.dram, cfg.dram_channels),
             handler_buf: Vec::with_capacity(1024),
+            probe_buf: Vec::new(),
             l2_block: l2cfg.block,
             victim: cfg
                 .l1_victim_blocks
@@ -322,6 +325,12 @@ impl Conventional {
             if r.kind == AccessKind::InstrFetch {
                 stall += 1;
                 m.time.l1i_cycles += 1;
+                // Handler code runs sequentially: a fetch from the block
+                // of the last L1I access is a read hit, which charges
+                // nothing beyond its issue cycle.
+                if self.l1i.reread_last(r.addr) {
+                    continue;
+                }
             }
             let at = now + Picos(stall * self.cycle.0);
             stall += self.access_phys(r.addr, r.kind, at, m);
@@ -350,8 +359,8 @@ impl Conventional {
             return (PhysAddr(frame.base_addr(page).0 + page.offset(va)), 0);
         }
         // Software refill: probe the page table in (cached) DRAM space.
-        let lk = self.page_table.lookup(asid, vpn);
-        let frame = match lk.frame {
+        let found = self.page_table.lookup_into(asid, vpn, &mut self.probe_buf);
+        let frame = match found {
             Some(f) => f,
             None => {
                 // First touch: allocate a DRAM frame ("infinite DRAM").
@@ -370,12 +379,12 @@ impl Conventional {
                 f
             }
         };
-        self.os.tlb_refill(&lk.probe_addrs, &mut self.handler_buf);
+        self.os.tlb_refill(&self.probe_buf, &mut self.handler_buf);
         let stall = self.run_handler(HandlerKind::TlbRefill, now, m);
         self.tlb.insert(asid, vpn, frame);
         m.hist.tlb.record(stall);
         let cycle = self.cycle;
-        let probes = lk.probes() as u64;
+        let probes = self.probe_buf.len() as u64;
         self.trace.emit(|| Event {
             at: now,
             dur: Picos(stall * cycle.0),

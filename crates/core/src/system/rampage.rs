@@ -46,6 +46,8 @@ pub struct Rampage {
     channel: ChannelSet,
     switch_on_miss: bool,
     handler_buf: Vec<HandlerRef>,
+    /// Page-table probe addresses of the current TLB miss, reused.
+    probe_buf: Vec<PhysAddr>,
     /// Frames pinned for OS code + page table (never replaced).
     pinned_frames: u32,
     /// Write buffer (perfect in the paper's configuration, §4.3).
@@ -116,6 +118,7 @@ impl Rampage {
             channel: ChannelSet::new(cfg.dram, cfg.dram_channels),
             switch_on_miss: cfg.switch_on_miss,
             handler_buf: Vec::with_capacity(1024),
+            probe_buf: Vec::new(),
             pinned_frames,
             wbuf: cfg
                 .write_buffer_depth
@@ -202,6 +205,12 @@ impl Rampage {
             if r.kind == AccessKind::InstrFetch {
                 stall += 1;
                 m.time.l1i_cycles += 1;
+                // Handler code runs sequentially: a fetch from the block
+                // of the last L1I access is a read hit, which charges
+                // nothing beyond its issue cycle.
+                if self.l1i.reread_last(r.addr) {
+                    continue;
+                }
             }
             let at = now + Picos(stall * self.cycle.0);
             stall += self.access_phys(r.addr, r.kind, at, m);
@@ -517,13 +526,14 @@ impl MemorySystem for Rampage {
             Some(f) => f,
             None => {
                 // TLB refill entirely within SRAM (§2.3).
-                let lk = self.ipt.lookup(asid, vpn);
-                self.os.tlb_refill(&lk.probe_addrs, &mut self.handler_buf);
+                let mut probe_addrs = std::mem::take(&mut self.probe_buf);
+                let found = self.ipt.lookup_into(asid, vpn, &mut probe_addrs);
+                self.os.tlb_refill(&probe_addrs, &mut self.handler_buf);
                 let refill = self.run_handler(HandlerKind::TlbRefill, now, m);
                 stall += refill;
                 m.hist.tlb.record(refill);
                 let cycle = self.cycle;
-                let probes = lk.probes() as u64;
+                let probes = probe_addrs.len() as u64;
                 self.trace.emit(|| Event {
                     at: now,
                     dur: Picos(refill * cycle.0),
@@ -531,7 +541,7 @@ impl MemorySystem for Rampage {
                     asid: asid.0,
                     arg: probes,
                 });
-                match lk.frame {
+                let frame = match found {
                     Some(f) => {
                         // Empty unless `prefetch_next` is on: skip hashing.
                         if !self.prefetched.is_empty() && self.prefetched.remove(&(asid, vpn)) {
@@ -543,12 +553,14 @@ impl MemorySystem for Rampage {
                     None => {
                         let at = now + Picos(stall * self.cycle.0);
                         let (f, fault_stall, blocked) =
-                            self.page_fault(asid, vpn, &lk.probe_addrs, at, m);
+                            self.page_fault(asid, vpn, &probe_addrs, at, m);
                         stall += fault_stall;
                         blocked_until = blocked;
                         f
                     }
-                }
+                };
+                self.probe_buf = probe_addrs;
+                frame
             }
         };
         let pa = PhysAddr(frame.base_addr(self.page).0 + self.page.offset(rec.addr));

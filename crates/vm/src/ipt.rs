@@ -33,14 +33,6 @@ pub struct IptLookup {
     pub probe_addrs: Vec<PhysAddr>,
 }
 
-impl IptLookup {
-    /// How many table reads the walk performed (the HAT slot plus one
-    /// per chain step) — the cost figure observability events carry.
-    pub fn probes(&self) -> usize {
-        self.probe_addrs.len()
-    }
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot {
     mapping: Option<Mapping>,
@@ -142,8 +134,24 @@ impl InvertedPageTable {
     /// Look up `(asid, vpn)`, recording the probe addresses. On a hit the
     /// referenced bit is set (feeding the clock algorithm).
     pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> IptLookup {
+        let mut probe_addrs = Vec::new();
+        let frame = self.lookup_into(asid, vpn, &mut probe_addrs);
+        IptLookup { frame, probe_addrs }
+    }
+
+    /// As [`lookup`](Self::lookup), writing the probe addresses into
+    /// `probe_addrs` (cleared first) so a caller can reuse one buffer
+    /// across TLB misses. Returns the mapped frame, or `None` (page
+    /// fault).
+    pub fn lookup_into(
+        &mut self,
+        asid: Asid,
+        vpn: Vpn,
+        probe_addrs: &mut Vec<PhysAddr>,
+    ) -> Option<FrameId> {
         let bucket = self.bucket_of(asid, vpn);
-        let mut probe_addrs = vec![self.hat_addr(bucket)];
+        probe_addrs.clear();
+        probe_addrs.push(self.hat_addr(bucket));
         let mut cur = self.hat[bucket];
         while let Some(f) = cur {
             probe_addrs.push(self.entry_addr(f));
@@ -155,17 +163,11 @@ impl InvertedPageTable {
             };
             if m.asid == asid && m.vpn == vpn {
                 m.referenced = true;
-                return IptLookup {
-                    frame: Some(f),
-                    probe_addrs,
-                };
+                return Some(f);
             }
             cur = slot.next;
         }
-        IptLookup {
-            frame: None,
-            probe_addrs,
-        }
+        None
     }
 
     /// Behavioural lookup: no probe recording, no referenced-bit update.
@@ -397,7 +399,6 @@ mod tests {
         assert_eq!(r.frame, Some(f));
         // One HAT probe + one entry probe.
         assert_eq!(r.probe_addrs.len(), 2);
-        assert_eq!(r.probes(), r.probe_addrs.len());
         assert!(r.probe_addrs[0].0 >= 0x1000);
         // A missing page probes at least the HAT slot.
         let miss = t.lookup(Asid(9), Vpn(9));
@@ -444,6 +445,47 @@ mod tests {
             );
         }
         assert_eq!(t.mapped_frames(), 32);
+    }
+
+    #[test]
+    fn lookup_into_matches_lookup() {
+        // Twin tables, full (so chains form), then thinned out so some
+        // chains have had entries unlinked from the middle.
+        let mut twins = [table(64), table(64)];
+        for t in &mut twins {
+            for i in 0..64u64 {
+                let f = t.alloc_free().unwrap();
+                t.insert(f, Asid(1 + (i % 2) as u16), Vpn(i));
+            }
+            for i in (0..64u64).step_by(3) {
+                let f = t.frame_of(Asid(1 + (i % 2) as u16), Vpn(i)).unwrap();
+                t.remove(f);
+            }
+        }
+        let [mut a, mut b] = twins;
+        let mut buf = vec![PhysAddr(0xdead); 5];
+        let mut longest = 0;
+        for asid in [Asid(1), Asid(2), Asid(3)] {
+            for vpn in (0..80u64).map(Vpn) {
+                // Clear every referenced bit so each lookup's effect shows.
+                for f in (0..64).map(FrameId) {
+                    a.clear_referenced(f);
+                    b.clear_referenced(f);
+                }
+                let want = a.lookup(asid, vpn);
+                let got = b.lookup_into(asid, vpn, &mut buf);
+                assert_eq!(got, want.frame, "{asid:?} {vpn:?}");
+                assert_eq!(
+                    buf, want.probe_addrs,
+                    "{asid:?} {vpn:?}: buffer cleared first"
+                );
+                for f in (0..64).map(FrameId) {
+                    assert_eq!(a.mapping(f), b.mapping(f), "{asid:?} {vpn:?} {f}");
+                }
+                longest = longest.max(buf.len());
+            }
+        }
+        assert!(longest >= 3, "some walk followed a chain: {longest} probes");
     }
 
     #[test]

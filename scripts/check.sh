@@ -31,21 +31,33 @@ step cargo clippy --workspace --all-targets --all-features -- -D warnings
 # is the right tool there). The fault-injection hooks are library code
 # compiled only under the `fault` feature, so the crates that have it
 # are linted with it on.
+#
+# The simulation crates must also not iterate a HashMap/HashSet: hash
+# order is nondeterministic and would break bit-identical results.
+# `clippy::iter_over_hash_type` catches for loops; the iterator
+# methods (`iter`, `keys`, `values`, `drain`, …) are the
+# `disallowed-methods` of clippy.toml, denied everywhere by -D warnings.
 LIB_CRATES=(rampage-json rand criterion rampage-trace rampage-cache rampage-dram rampage-vm rampage-core rampage-analysis rampage rampage-bench)
+SIM_CRATES=(rampage-trace rampage-cache rampage-dram rampage-vm rampage-core)
 for crate in "${LIB_CRATES[@]}"; do
   PRINT_DENIES=(-D clippy::print_stdout -D clippy::print_stderr)
   if [[ "${crate}" == "criterion" ]]; then
     PRINT_DENIES=()
   fi
+  HASH_DENIES=()
+  if [[ " ${SIM_CRATES[*]} " == *" ${crate} "* ]]; then
+    HASH_DENIES=(-D clippy::iter_over_hash_type)
+  fi
   FEATURES=()
   if [[ "${crate}" == "rampage" || "${crate}" == "rampage-core" || "${crate}" == "rampage-trace" ]]; then
     FEATURES=(--features fault)
   fi
-  echo "==> cargo clippy --lib -p ${crate} ${FEATURES[*]+"${FEATURES[*]}"} (deny unwrap/expect/print)"
+  echo "==> cargo clippy --lib -p ${crate} ${FEATURES[*]+"${FEATURES[*]}"} (deny unwrap/expect/print${HASH_DENIES[*]+", hash iteration"})"
   timeout --kill-after=30 "${STEP_TIMEOUT}" cargo clippy -q --lib -p "${crate}" \
     "${FEATURES[@]+"${FEATURES[@]}"}" -- \
     -D warnings -D clippy::unwrap_used -D clippy::expect_used \
-    "${PRINT_DENIES[@]+"${PRINT_DENIES[@]}"}"
+    "${PRINT_DENIES[@]+"${PRINT_DENIES[@]}"}" \
+    "${HASH_DENIES[@]+"${HASH_DENIES[@]}"}"
 done
 
 echo "==> cargo build --release (tier-1)"

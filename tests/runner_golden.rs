@@ -277,6 +277,20 @@ fn wall_subtree_reports_pool_efficiency_and_worker_busy_time() {
         .get("worker")
         .and_then(Json::as_u64)
         .is_some_and(|k| k < workers)));
+    assert_eq!(cells.len(), 8, "2 hierarchies x 2 sizes x 2 issue rates");
+    // The workload's total is what the engine really simulates.
+    let (_, out) = run_config_traced(&SystemConfig::rampage(IssueRate::GHZ4, 256), &w, 0);
+    assert_eq!(out.metrics.counts.user_refs, w.total_refs());
+    for c in cells {
+        let refs = c.get("refs").and_then(Json::as_u64).expect("refs");
+        assert_eq!(refs, w.total_refs(), "every cell runs the whole workload");
+        let secs = c.get("secs").and_then(Json::as_f64).expect("secs");
+        let ns = c
+            .get("host_ns_per_ref")
+            .and_then(Json::as_f64)
+            .expect("host_ns_per_ref");
+        assert!(ns > 0.0 && (ns - secs * 1e9 / refs as f64).abs() <= 1e-9 * ns);
+    }
 
     // A fully cached rerun runs no pool and adds no entry.
     table3::run(
